@@ -1,7 +1,8 @@
 (* Bechamel microbenchmarks of the hot paths: the ESR checker, the lock
    manager, the simulation engine, the stores, and the PRNG — plus a
    bytes-per-op section (plain Gc.allocated_bytes deltas) that proves the
-   apply/propagate path stays allocation-free once warm.  The ns/op and
+   apply/propagate path stays allocation-free once warm, and words per
+   stable-queue message for the transport (Esr_bench.Msg_cost).  The ns/op and
    bytes/op numbers together are what guided the interned-key store work:
    a path is only "stripped" when its bytes/op column reads 0. *)
 
@@ -309,6 +310,14 @@ let bytes_report () =
             Heap.drop_min h
           done))
      128);
+  List.iter
+    (fun (name, mode) ->
+      Printf.printf "  %-44s %10.1f words/msg\n" name
+        (Esr_bench.Msg_cost.words_per_message mode))
+    [
+      ("squeue/message, 50-site broadcast, Unordered", Esr_squeue.Squeue.Unordered);
+      ("squeue/message, 50-site broadcast, Fifo", Esr_squeue.Squeue.Fifo);
+    ];
   print_newline ()
 
 let run_all () =

@@ -1,9 +1,18 @@
 (** Discrete-event simulation engine.
 
-    Virtual time is a [float] in abstract milliseconds.  Events are
-    closures scheduled at a future instant; [run] executes them in
-    timestamp order (FIFO among ties), which makes whole-system executions
-    deterministic given deterministic event bodies.
+    Virtual time is a [float] in abstract milliseconds.  [run] executes
+    scheduled events in timestamp order (FIFO among ties), which makes
+    whole-system executions deterministic given deterministic event
+    bodies.  An event is one of two kinds, sharing one sequence counter
+    and one ordering:
+
+    - a {e closure} event ({!schedule}) carries its own body and can be
+      cancelled — method timers and workload arrivals use these;
+    - a {e port} event ({!schedule_port}) names a handler registered once
+      with {!port} and carries an [int] argument stored unboxed in the
+      event heap, so scheduling and dispatching it allocate nothing — the
+      per-message transport (net delivery, stable-queue acks and retry
+      ticks) runs entirely on ports.
 
     The engine replaces a real async runtime (the container has no Lwt):
     the paper's protocols only care about message *ordering and delay*,
@@ -38,8 +47,22 @@ val schedule_at : t -> time:float -> (unit -> unit) -> event_id
 val cancel : t -> event_id -> unit
 (** Cancelling an already-fired or unknown event is a no-op. *)
 
+type port
+(** A handler shared by every event scheduled on it. *)
+
+val port : (int -> unit) -> port
+(** [port handler] registers [handler]; allocate it once, up front. *)
+
+val schedule_port : t -> delay:float -> port -> int -> unit
+(** [schedule_port t ~delay p arg] runs [p]'s handler on [arg] at
+    [now t +. delay].  It consumes one sequence number exactly like
+    {!schedule}, but allocates nothing and cannot be cancelled.  Negative
+    delays raise [Invalid_argument]. *)
+
 val step : t -> bool
-(** Execute the next event.  [false] when the queue is empty. *)
+(** Execute the next event.  [false] when the queue is empty.  Like
+    {!run}, it allocates nothing of its own except a fresh boxed clock
+    value when virtual time advances. *)
 
 val run : ?until:float -> t -> unit
 (** Drain the event queue.  With [~until], stops (leaving events queued)

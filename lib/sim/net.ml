@@ -35,6 +35,7 @@ type t = {
   config : config;
   prng : Prng.t;
   n_sites : int;
+  max_payload : int;  (* largest payload [pack] can carry without overflow *)
   group : int array;  (* partition group per site *)
   up : bool array;
   mutable sent : int;
@@ -76,6 +77,7 @@ let create ?(config = default_config) ?obs engine ~sites ~prng =
       config;
       prng;
       n_sites = sites;
+      max_payload = max_int / (sites * sites) - 1;
       group = Array.make sites 0;
       up = Array.make sites true;
       sent = 0;
@@ -120,45 +122,62 @@ let site_up t s =
   check_site t s;
   t.up.(s)
 
-let deliver_later t ~src ~dst ~cls callback =
-  let latency = Dist.sample t.config.latency t.prng in
-  ignore
-    (Engine.schedule t.engine ~delay:latency (fun () ->
-         if not t.up.(dst) then begin
-           t.crashed_dst <- t.crashed_dst + 1;
-           if Trace.on t.trace then
-             Trace.emit t.trace ~time:(Engine.now t.engine)
-               (Trace.Msg_dropped { src; dst; cls; reason = Trace.Crashed_dst })
-         end
-         else if t.group.(src) <> t.group.(dst) then begin
-           (* A partition that fired while the message was in flight cuts
-              it off too: reachability is re-checked at arrival time, just
-              like the crashed-destination check above. *)
-           t.blocked_partition <- t.blocked_partition + 1;
-           if Trace.on t.trace then
-             Trace.emit t.trace ~time:(Engine.now t.engine)
-               (Trace.Msg_dropped { src; dst; cls; reason = Trace.Partition })
-         end
-         else begin
-           t.delivered <- t.delivered + 1;
-           t.delivered_to.(dst) <- t.delivered_to.(dst) + 1;
-           if Trace.on t.trace then
-             Trace.emit t.trace ~time:(Engine.now t.engine)
-               (Trace.Msg_delivered { src; dst; cls });
-           let prof = t.prof in
-           if Esr_obs.Prof.on prof then begin
-             let t0 = Esr_obs.Prof.start prof in
-             let a0 = Esr_obs.Prof.alloc0 prof in
-             callback ();
-             Esr_obs.Prof.record prof ~site:dst Esr_obs.Prof.Net_delivery ~t0
-               ~a0
-           end
-           else callback ()
-         end))
+(* A port is an engine port whose argument packs the message's source
+   and destination together with the caller's payload, so the arrival
+   fate checks below need no per-message closure. *)
+type port = { cls : string; ev : Engine.port }
 
-let send ?(cls = "msg") t ~src ~dst callback =
+let[@inline] pack t ~src ~dst payload = (((payload * t.n_sites) + src) * t.n_sites) + dst
+
+let arrive t ~cls handler packed =
+  let n = t.n_sites in
+  let dst = packed mod n and rest = packed / n in
+  let src = rest mod n and payload = rest / n in
+  if not t.up.(dst) then begin
+    t.crashed_dst <- t.crashed_dst + 1;
+    if Trace.on t.trace then
+      Trace.emit t.trace ~time:(Engine.now t.engine)
+        (Trace.Msg_dropped { src; dst; cls; reason = Trace.Crashed_dst })
+  end
+  else if t.group.(src) <> t.group.(dst) then begin
+    (* A partition that fired while the message was in flight cuts it off
+       too: reachability is re-checked at arrival time, just like the
+       crashed-destination check above. *)
+    t.blocked_partition <- t.blocked_partition + 1;
+    if Trace.on t.trace then
+      Trace.emit t.trace ~time:(Engine.now t.engine)
+        (Trace.Msg_dropped { src; dst; cls; reason = Trace.Partition })
+  end
+  else begin
+    t.delivered <- t.delivered + 1;
+    t.delivered_to.(dst) <- t.delivered_to.(dst) + 1;
+    if Trace.on t.trace then
+      Trace.emit t.trace ~time:(Engine.now t.engine)
+        (Trace.Msg_delivered { src; dst; cls });
+    let prof = t.prof in
+    if Esr_obs.Prof.on prof then begin
+      let t0 = Esr_obs.Prof.start prof in
+      let a0 = Esr_obs.Prof.alloc0 prof in
+      handler ~src ~dst payload;
+      Esr_obs.Prof.record prof ~site:dst Esr_obs.Prof.Net_delivery ~t0 ~a0
+    end
+    else handler ~src ~dst payload
+  end
+
+let port ?(cls = "msg") t handler =
+  { cls; ev = Engine.port (fun packed -> arrive t ~cls handler packed) }
+
+let deliver_later t port packed =
+  Engine.schedule_port t.engine
+    ~delay:(Dist.sample t.config.latency t.prng)
+    port.ev packed
+
+let send t ~src ~dst port payload =
   check_site t src;
   check_site t dst;
+  if payload < 0 || payload > t.max_payload then
+    invalid_arg (Printf.sprintf "Net.send: payload %d out of range" payload);
+  let cls = port.cls in
   t.sent <- t.sent + 1;
   t.sent_by.(src) <- t.sent_by.(src) + 1;
   if Trace.on t.trace then
@@ -184,22 +203,16 @@ let send ?(cls = "msg") t ~src ~dst callback =
         (Trace.Msg_dropped { src; dst; cls; reason = Trace.Loss })
   end
   else begin
-    deliver_later t ~src ~dst ~cls callback;
+    let packed = pack t ~src ~dst payload in
+    deliver_later t port packed;
     if Prng.bernoulli t.prng t.config.duplicate_probability then begin
       t.duplicated <- t.duplicated + 1;
       if Trace.on t.trace then
         Trace.emit t.trace ~time:(Engine.now t.engine)
           (Trace.Msg_duplicated { src; dst; cls });
-      deliver_later t ~src ~dst ~cls callback
+      deliver_later t port packed
     end
   end
-
-let send_shard ?cls t ~sharding ~shard ~src callback =
-  let reps = Esr_store.Sharding.replicas sharding shard in
-  for i = 0 to Array.length reps - 1 do
-    let dst = Array.unsafe_get reps i in
-    if dst <> src then send ?cls t ~src ~dst callback
-  done
 
 let partition t groups =
   let seen = Array.make t.n_sites false in

@@ -42,29 +42,27 @@ val create :
 val engine : t -> Engine.t
 val sites : t -> int
 
-val send : ?cls:string -> t -> src:int -> dst:int -> (unit -> unit) -> unit
-(** Deliver [callback] at [dst] after a sampled latency, unless the message
-    is lost, the two sites are partitioned (checked both at send time and
-    again at arrival time, so a partition that fires while the message is
-    in flight cuts it off), or [dst] is down at arrival time.  Sending
-    from a crashed site is a silent drop.  [cls] labels the message class
-    in trace events (default ["msg"]); stable queues pass
-    ["data"] / ["ack"]. *)
+type port
+(** A message class: one delivery handler and one trace label, registered
+    once with {!port} and shared by every message sent on it.  Sending on
+    a port allocates nothing per message. *)
 
-val send_shard :
-  ?cls:string ->
-  t ->
-  sharding:Esr_store.Sharding.t ->
-  shard:int ->
-  src:int ->
-  (unit -> unit) ->
-  unit
-(** Interest-routed multicast: {!send} [callback] to every site
-    replicating [shard] under [sharding], except [src] itself, in
-    ascending site order.  Each destination goes through the full
-    per-message fate machinery (loss, partition, crash accounting), so
-    the counters read exactly as if the sends had been issued one by
-    one — because they are. *)
+val port : ?cls:string -> t -> (src:int -> dst:int -> int -> unit) -> port
+(** [port ~cls t handler] registers [handler ~src ~dst payload], run at
+    [dst] for each delivered message.  [cls] labels the class in trace
+    events (default ["msg"]); stable queues register ["data"] and
+    ["ack"]. *)
+
+val send : t -> src:int -> dst:int -> port -> int -> unit
+(** [send t ~src ~dst p payload] delivers [payload] to [p]'s handler at
+    [dst] after a sampled latency, unless the message is lost, the two
+    sites are partitioned (checked both at send time and again at arrival
+    time, so a partition that fires while the message is in flight cuts
+    it off), or [dst] is down at arrival time.  Sending from a crashed
+    site is a silent drop.  A duplicated message runs the handler twice.
+    [payload] must be non-negative and small enough that
+    [payload * sites * sites] fits in an [int]; otherwise [send] raises
+    [Invalid_argument]. *)
 
 (** {2 Failure injection} *)
 

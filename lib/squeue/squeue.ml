@@ -61,7 +61,14 @@ type 'a t = {
   mutable n_pending : int;
   journaled_by : int array;  (* cumulative per-src journal appends *)
   trace : Trace.t;  (* session-layer events: send / first delivery / dup *)
+  ports : ports Lazy.t;  (* forced in [create]; lazy only to tie the knot *)
 }
+
+(* The transport runs on three ports registered once per fabric, so a
+   message allocates nothing beyond its journal and dedup entries.  A data
+   or ack message carries its sequence number (the net packs src and dst
+   alongside); a retry tick carries its channel, [src * sites + dst]. *)
+and ports = { data : Net.port; ack : Net.port; tick : Engine.port }
 
 let register_metrics t (m : Esr_obs.Metrics.t) =
   let g name f = Esr_obs.Metrics.gauge_fn m ~group:"squeue" name f in
@@ -86,13 +93,21 @@ let[@inline] note_delivered t ~src ~dst seq =
       ~time:(Engine.now (Net.engine t.net))
       (Trace.Squeue_delivered { src; dst; seq })
 
-let deliver t ~dst ~src seq payload =
+(* A first delivery reads the payload from the sender's journal.  It is
+   still there: a seq is acked only after it has been delivered, and any
+   later copy of a delivered seq is caught by the dedup checks, which run
+   before the lookup. *)
+let journaled_payload t ~src ~dst seq =
+  (Hashtbl.find t.chans.(src).(dst).unacked seq).payload
+
+let deliver t ~dst ~src seq =
   let recv = t.recvs.(dst).(src) in
   match t.mode with
   | Unordered ->
       if seq < recv.seen_floor || Hashtbl.mem recv.seen seq then
         note_dup t ~src ~dst seq
       else begin
+        let payload = journaled_payload t ~src ~dst seq in
         Hashtbl.replace recv.seen seq ();
         note_delivered t ~src ~dst seq;
         t.handler ~site:dst ~src payload
@@ -103,12 +118,13 @@ let deliver t ~dst ~src seq payload =
       else if seq = recv.next_expected && Hashtbl.length recv.reorder = 0 then begin
         (* In-order fast path — the overwhelmingly common case on a
            healthy link: no reorder-buffer round trip, no allocation. *)
+        let payload = journaled_payload t ~src ~dst seq in
         recv.next_expected <- seq + 1;
         note_delivered t ~src ~dst seq;
         t.handler ~site:dst ~src payload
       end
       else begin
-        Hashtbl.replace recv.reorder seq payload;
+        Hashtbl.replace recv.reorder seq (journaled_payload t ~src ~dst seq);
         (* Hand up the contiguous prefix. *)
         let rec drain () =
           match Hashtbl.find recv.reorder recv.next_expected with
@@ -134,14 +150,16 @@ let ack t ~src ~dst seq =
     chan.cur_interval <- t.retry_interval
   end
 
-let transmit t ~src ~dst seq payload =
-  (* The data message carries its own ack round trip as a closure chain:
-     arrival at [dst] delivers (with dedup) and fires an ack back. *)
-  Net.send ~cls:"data" t.net ~src ~dst (fun () ->
-      deliver t ~dst ~src seq payload;
-      Net.send ~cls:"ack" t.net ~src:dst ~dst:src (fun () -> ack t ~src ~dst seq))
+let[@inline] ports t = Lazy.force t.ports
 
-let rec arm_timer t ~src ~dst =
+(* Arrival at [dst] delivers (with dedup) and fires an ack back. *)
+let on_data t ~src ~dst seq =
+  deliver t ~dst ~src seq;
+  Net.send t.net ~src:dst ~dst:src (ports t).ack seq
+
+let transmit t ~src ~dst seq = Net.send t.net ~src ~dst (ports t).data seq
+
+let arm_timer t ~src ~dst =
   let chan = t.chans.(src).(dst) in
   if not chan.timer_active then begin
     chan.timer_active <- true;
@@ -154,33 +172,40 @@ let rec arm_timer t ~src ~dst =
           chan.cur_interval
           *. (1.0 +. Prng.float t.jitter_prng (Float.max 0.0 b.jitter))
     in
-    ignore
-      (Engine.schedule (Net.engine t.net) ~delay (fun () ->
-           chan.timer_active <- false;
-           if Hashtbl.length chan.unacked > 0 then begin
-             let now = Engine.now (Net.engine t.net) in
-             let retransmitted = ref false in
-             Hashtbl.iter
-               (fun seq pending ->
-                 (* Only retransmit messages that have waited a full
-                    interval; fresher ones may still be acked in flight. *)
-                 if now -. pending.last_sent >= t.retry_interval -. 1e-9 then begin
-                   retransmitted := true;
-                   t.n_retx <- t.n_retx + 1;
-                   pending.last_sent <- now;
-                   transmit t ~src ~dst seq pending.payload
-                 end)
-               chan.unacked;
-             (match t.backoff with
-             | Some b when !retransmitted ->
-                 (* No ack since the last full interval: the peer is likely
-                    crashed or partitioned away, so widen the retry gap
-                    instead of storming the link. *)
-                 chan.cur_interval <-
-                   Float.min (chan.cur_interval *. b.multiplier) b.max_interval
-             | _ -> ());
-             arm_timer t ~src ~dst
-           end))
+    Engine.schedule_port (Net.engine t.net) ~delay (ports t).tick
+      ((src * Net.sites t.net) + dst)
+  end
+
+let on_tick t c =
+  let n = Net.sites t.net in
+  let src = c / n and dst = c mod n in
+  let chan = t.chans.(src).(dst) in
+  chan.timer_active <- false;
+  if Hashtbl.length chan.unacked > 0 then begin
+    let now = Engine.now (Net.engine t.net) in
+    let retransmitted =
+      Hashtbl.fold
+        (fun seq pending retransmitted ->
+          (* Only retransmit messages that have waited a full interval;
+             fresher ones may still be acked in flight. *)
+          if now -. pending.last_sent >= t.retry_interval -. 1e-9 then begin
+            t.n_retx <- t.n_retx + 1;
+            pending.last_sent <- now;
+            transmit t ~src ~dst seq;
+            true
+          end
+          else retransmitted)
+        chan.unacked false
+    in
+    (match t.backoff with
+    | Some b when retransmitted ->
+        (* No ack since the last full interval: the peer is likely crashed
+           or partitioned away, so widen the retry gap instead of storming
+           the link. *)
+        chan.cur_interval <-
+          Float.min (chan.cur_interval *. b.multiplier) b.max_interval
+    | _ -> ());
+    arm_timer t ~src ~dst
   end
 
 (* Immediate retransmission of everything outstanding on one channel —
@@ -200,7 +225,7 @@ let kick_chan t ~src ~dst =
         let pending = Hashtbl.find chan.unacked seq in
         t.n_retx <- t.n_retx + 1;
         pending.last_sent <- now;
-        transmit t ~src ~dst seq pending.payload)
+        transmit t ~src ~dst seq)
       seqs;
     arm_timer t ~src ~dst
   end
@@ -241,7 +266,7 @@ let create ?(mode = Unordered) ?(retry_interval = 50.0) ?backoff ?obs net
       reorder = Hashtbl.create 8;
     }
   in
-  let t =
+  let rec t =
     {
       net;
       mode;
@@ -262,8 +287,18 @@ let create ?(mode = Unordered) ?(retry_interval = 50.0) ?backoff ?obs net
         (match obs with
         | Some (o : Esr_obs.Obs.t) -> o.Esr_obs.Obs.trace
         | None -> Trace.make ~capacity:1 ~enabled:false ());
+      ports =
+        lazy
+          {
+            data = Net.port ~cls:"data" net (fun ~src ~dst seq -> on_data t ~src ~dst seq);
+            ack =
+              Net.port ~cls:"ack" net (fun ~src ~dst seq ->
+                  ack t ~src:dst ~dst:src seq);
+            tick = Engine.port (fun c -> on_tick t c);
+          };
     }
   in
+  ignore (ports t);
   (match obs with
   | Some (o : Esr_obs.Obs.t) -> register_metrics t o.Esr_obs.Obs.metrics
   | None -> ());
@@ -287,7 +322,7 @@ let send t ~src ~dst payload =
     Trace.emit t.trace
       ~time:(Engine.now (Net.engine t.net))
       (Trace.Squeue_send { src; dst; seq });
-  transmit t ~src ~dst seq payload;
+  transmit t ~src ~dst seq;
   arm_timer t ~src ~dst
 
 let broadcast t ~src payload =

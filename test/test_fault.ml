@@ -83,11 +83,14 @@ let quiet_net ?(sites = 2) ?(latency = Dist.Constant 20.0) engine =
   in
   Net.create ~config engine ~sites ~prng:(Prng.create 5)
 
+(* A port whose handler ignores the message and runs [f]. *)
+let on net f = Net.port net (fun ~src:_ ~dst:_ _ -> f ())
+
 let test_partition_cuts_inflight () =
   let engine = Engine.create () in
   let net = quiet_net engine in
   let delivered = ref false in
-  Net.send net ~src:0 ~dst:1 (fun () -> delivered := true);
+  Net.send net ~src:0 ~dst:1 (on net (fun () -> delivered := true)) 0;
   (* The message is in flight (arrives at t=20); the partition fires
      first, so the arrival-time re-check must cut it off. *)
   ignore
@@ -101,7 +104,7 @@ let test_crash_drops_inflight_arrival () =
   let engine = Engine.create () in
   let net = quiet_net engine in
   let delivered = ref false in
-  Net.send net ~src:0 ~dst:1 (fun () -> delivered := true);
+  Net.send net ~src:0 ~dst:1 (on net (fun () -> delivered := true)) 0;
   ignore (Engine.schedule_at engine ~time:5.0 (fun () -> Net.crash net 1));
   Engine.run engine;
   checkb "not delivered to the crashed site" false !delivered;

@@ -252,6 +252,60 @@ let prop_engine_lazy_cancellation =
       in
       List.rev !fired = expected && Engine.pending e = 0)
 
+let test_engine_ports () =
+  (* Port events share the closure events' sequence counter, so ties
+     between the two kinds still fire in scheduling order. *)
+  let e = Engine.create () in
+  let trace = ref [] in
+  let p = Engine.port (fun arg -> trace := arg :: !trace) in
+  Engine.schedule_port e ~delay:7.0 p 1;
+  ignore (Engine.schedule e ~delay:7.0 (fun () -> trace := 2 :: !trace));
+  Engine.schedule_port e ~delay:7.0 p 3;
+  Engine.schedule_port e ~delay:3.0 p 0;
+  checki "pending" 4 (Engine.pending e);
+  Engine.run e;
+  Alcotest.(check (list int)) "time, then FIFO across kinds" [ 0; 1; 2; 3 ]
+    (List.rev !trace);
+  checkf "clock at last event" 7.0 (Engine.now e);
+  checki "processed" 4 (Engine.processed e);
+  checki "scheduled" 4 (Engine.scheduled e);
+  checkb "negative delay raises" true
+    (try
+       Engine.schedule_port e ~delay:(-1.0) p 0;
+       false
+     with Invalid_argument _ -> true)
+
+let test_engine_cancel_keeps_clock () =
+  (* A cancelled entry is discarded without moving the clock. *)
+  let e = Engine.create () in
+  ignore (Engine.schedule e ~delay:1.0 (fun () -> ()));
+  Engine.cancel e (Engine.schedule e ~delay:9.0 (fun () -> ()));
+  Engine.run e;
+  checkf "clock at last fired event" 1.0 (Engine.now e);
+  checkb "step on a cancelled-only heap" false
+    (Engine.cancel e (Engine.schedule e ~delay:5.0 (fun () -> ()));
+     Engine.step e);
+  checkf "still" 1.0 (Engine.now e)
+
+let test_engine_step_allocation_free () =
+  (* Dispatching port events allocates nothing in the engine itself; the
+     clock is re-boxed only when time advances, and here it does not. *)
+  let e = Engine.create ~hint:256 () in
+  let hits = ref 0 in
+  let p = Engine.port (fun _ -> incr hits) in
+  let one = 1.0 in
+  for i = 1 to 100 do
+    Engine.schedule_port e ~delay:one p i
+  done;
+  ignore (Engine.step e);
+  let w0 = Gc.minor_words () in
+  for _ = 2 to 100 do
+    ignore (Engine.step e)
+  done;
+  let w1 = Gc.minor_words () in
+  checki "all fired" 100 !hits;
+  checkf "no words per step" 0.0 (w1 -. w0)
+
 (* --- Pool --- *)
 
 let test_pool_map_matches_list_map () =
@@ -319,10 +373,13 @@ let mk_net ?config ~sites seed =
   let net = Net.create ?config e ~sites ~prng:(Prng.create seed) in
   (e, net)
 
+(* A port whose handler ignores the message and runs [f]. *)
+let on net f = Net.port net (fun ~src:_ ~dst:_ _ -> f ())
+
 let test_net_delivers_with_latency () =
   let e, net = mk_net ~sites:2 1 in
   let arrived = ref (-1.0) in
-  Net.send net ~src:0 ~dst:1 (fun () -> arrived := Engine.now e);
+  Net.send net ~src:0 ~dst:1 (on net (fun () -> arrived := Engine.now e)) 0;
   Engine.run e;
   checkf "10ms default latency" 10.0 !arrived
 
@@ -331,7 +388,7 @@ let test_net_drop_everything () =
   let e, net = mk_net ~config ~sites:2 1 in
   let arrived = ref false in
   for _ = 1 to 20 do
-    Net.send net ~src:0 ~dst:1 (fun () -> arrived := true)
+    Net.send net ~src:0 ~dst:1 (on net (fun () -> arrived := true)) 0
   done;
   Engine.run e;
   checkb "all lost" false !arrived;
@@ -341,7 +398,7 @@ let test_net_duplicates () =
   let config = { Net.default_config with duplicate_probability = 1.0 } in
   let e, net = mk_net ~config ~sites:2 1 in
   let count = ref 0 in
-  Net.send net ~src:0 ~dst:1 (fun () -> incr count);
+  Net.send net ~src:0 ~dst:1 (on net (fun () -> incr count)) 0;
   Engine.run e;
   checki "delivered twice" 2 !count
 
@@ -351,8 +408,8 @@ let test_net_partition_blocks () =
   checkb "same group" true (Net.reachable net 0 1);
   checkb "cross group" false (Net.reachable net 0 2);
   let crossed = ref false and local = ref false in
-  Net.send net ~src:0 ~dst:2 (fun () -> crossed := true);
-  Net.send net ~src:0 ~dst:1 (fun () -> local := true);
+  Net.send net ~src:0 ~dst:2 (on net (fun () -> crossed := true)) 0;
+  Net.send net ~src:0 ~dst:1 (on net (fun () -> local := true)) 0;
   Engine.run e;
   checkb "cross-partition blocked" false !crossed;
   checkb "intra-partition flows" true !local;
@@ -380,11 +437,11 @@ let test_net_crash_blocks_delivery () =
   let e, net = mk_net ~sites:2 1 in
   Net.crash net 1;
   let arrived = ref false in
-  Net.send net ~src:0 ~dst:1 (fun () -> arrived := true);
+  Net.send net ~src:0 ~dst:1 (on net (fun () -> arrived := true)) 0;
   Engine.run e;
   checkb "not delivered to crashed" false !arrived;
   Net.recover net 1;
-  Net.send net ~src:0 ~dst:1 (fun () -> arrived := true);
+  Net.send net ~src:0 ~dst:1 (on net (fun () -> arrived := true)) 0;
   Engine.run e;
   checkb "delivered after recovery" true !arrived
 
@@ -396,7 +453,7 @@ let test_net_crashed_sender () =
   let arrived = ref false in
   let raised =
     try
-      Net.send net ~src:0 ~dst:1 (fun () -> arrived := true);
+      Net.send net ~src:0 ~dst:1 (on net (fun () -> arrived := true)) 0;
       false
     with _ -> true
   in
@@ -413,7 +470,7 @@ let test_net_crash_at_arrival_time () =
   (* Message in flight when the destination crashes: dropped on arrival. *)
   let e, net = mk_net ~sites:2 1 in
   let arrived = ref false in
-  Net.send net ~src:0 ~dst:1 (fun () -> arrived := true);
+  Net.send net ~src:0 ~dst:1 (on net (fun () -> arrived := true)) 0;
   ignore (Engine.schedule e ~delay:5.0 (fun () -> Net.crash net 1));
   Engine.run e;
   checkb "dropped at arrival" false !arrived;
@@ -421,8 +478,8 @@ let test_net_crash_at_arrival_time () =
 
 let test_net_counters () =
   let e, net = mk_net ~sites:2 1 in
-  Net.send net ~src:0 ~dst:1 (fun () -> ());
-  Net.send net ~src:1 ~dst:0 (fun () -> ());
+  Net.send net ~src:0 ~dst:1 (on net (fun () -> ())) 0;
+  Net.send net ~src:1 ~dst:0 (on net (fun () -> ())) 0;
   Engine.run e;
   let c = Net.counters net in
   checki "sent" 2 c.Net.sent;
@@ -433,12 +490,35 @@ let test_net_counters () =
   checki "no crashed-destination drops" 0 c.Net.crashed_dst;
   checki "no duplicates" 0 c.Net.duplicated
 
+let test_net_port_carries_message () =
+  (* The handler sees the message's source, destination and payload, at
+     any site count and up to the largest payload the packing allows. *)
+  let sites = 7 in
+  let e, net = mk_net ~sites 1 in
+  let got = ref [] in
+  let p = Net.port ~cls:"probe" net (fun ~src ~dst x -> got := (src, dst, x) :: !got) in
+  let big = (max_int / (sites * sites)) - 1 in
+  let sent = [ (0, 1, 0); (6, 0, 42); (3, 5, big); (5, 3, 1) ] in
+  List.iter (fun (src, dst, x) -> Net.send net ~src ~dst p x) sent;
+  Engine.run e;
+  Alcotest.(check (list (triple int int int))) "src, dst, payload" sent
+    (List.rev !got);
+  List.iter
+    (fun x ->
+      checkb "out-of-range payload raises" true
+        (try
+           Net.send net ~src:0 ~dst:1 p x;
+           false
+         with Invalid_argument _ -> true))
+    [ -1; big + 1 ];
+  checki "rejected payloads are not sent" 4 (Net.counters net).Net.sent
+
 let test_net_latency_distribution () =
   let config = { Net.default_config with latency = Dist.Uniform (5.0, 15.0) } in
   let e, net = mk_net ~config ~sites:2 3 in
   let times = ref [] in
   for _ = 1 to 100 do
-    Net.send net ~src:0 ~dst:1 (fun () -> times := Engine.now e :: !times)
+    Net.send net ~src:0 ~dst:1 (on net (fun () -> times := Engine.now e :: !times)) 0
   done;
   Engine.run e;
   checki "all arrived" 100 (List.length !times);
@@ -465,6 +545,11 @@ let () =
           Alcotest.test_case "negative delay" `Quick test_engine_negative_delay;
           Alcotest.test_case "schedule_at past" `Quick test_engine_schedule_at_past;
           Alcotest.test_case "pending count" `Quick test_engine_pending;
+          Alcotest.test_case "port events" `Quick test_engine_ports;
+          Alcotest.test_case "cancel keeps clock" `Quick
+            test_engine_cancel_keeps_clock;
+          Alcotest.test_case "step allocation-free" `Quick
+            test_engine_step_allocation_free;
           QCheck_alcotest.to_alcotest prop_engine_matches_reference;
           QCheck_alcotest.to_alcotest prop_engine_lazy_cancellation;
         ] );
@@ -497,5 +582,7 @@ let () =
           Alcotest.test_case "counters" `Quick test_net_counters;
           Alcotest.test_case "latency distribution" `Quick
             test_net_latency_distribution;
+          Alcotest.test_case "port carries message" `Quick
+            test_net_port_carries_message;
         ] );
     ]

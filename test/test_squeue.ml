@@ -179,6 +179,89 @@ let prop_lossy_fifo_always_delivers_in_order =
       List.rev_map snd received.(1) = List.init n Fun.id
       && Squeue.pending q = 0)
 
+(* A duplicate storm on channel 0 -> 1 of a 3-site fabric: [n] messages
+   10 ms apart over links with 20% loss, 40% duplication and wide latency
+   spread, while the receiver crashes once and recovers.  Returns how
+   often each message reached the handler and how many duplicates arrived
+   *late*: while the sender's journal was empty, so the duplicate's seq
+   was certainly acked and its journal entry gone.  Such a duplicate must
+   be dropped by the dedup check alone — a journal lookup for it would
+   raise [Not_found] out of [Engine.run]. *)
+let dup_storm ~mode ~seed ~n ~crash_at ~down_for =
+  let config =
+    {
+      Net.latency = Dist.Uniform (1.0, 80.0);
+      drop_probability = 0.2;
+      duplicate_probability = 0.4;
+    }
+  in
+  let e = Engine.create () in
+  let obs = Esr_obs.Obs.create ~tracing:true ~trace_capacity:16 () in
+  let net = Net.create ~config ~obs e ~sites:3 ~prng:(Prng.create seed) in
+  let got = Array.make n 0 in
+  let q =
+    Squeue.create ~mode ~retry_interval:40.0 ~obs net ~handler:(fun ~site ~src i ->
+        if site = 1 && src = 0 then got.(i) <- got.(i) + 1)
+  in
+  let late = ref 0 in
+  Esr_obs.Trace.attach obs.Esr_obs.Obs.trace (fun r ->
+      match r.Esr_obs.Trace.ev with
+      | Esr_obs.Trace.Squeue_dup { src; _ } when Squeue.journal_depth q ~site:src = 0
+        ->
+          incr late
+      | _ -> ());
+  ignore (Engine.schedule e ~delay:(float_of_int crash_at) (fun () -> Net.crash net 1));
+  ignore
+    (Engine.schedule e
+       ~delay:(float_of_int (crash_at + down_for))
+       (fun () -> Net.recover net 1));
+  for i = 0 to n - 1 do
+    ignore
+      (Engine.schedule e ~delay:(float_of_int (i * 10)) (fun () ->
+           Squeue.send q ~src:0 ~dst:1 i))
+  done;
+  Engine.run e;
+  (got, !late, q)
+
+let prop_exactly_once_duplicate_storm =
+  QCheck.Test.make
+    ~name:"exactly-once under duplication, loss and a crash, both modes"
+    ~count:40
+    QCheck.(
+      quad (int_range 1 100_000) (int_range 1 30) (int_range 0 400)
+        (int_range 50 600))
+    (fun (seed, n, crash_at, down_for) ->
+      List.for_all
+        (fun mode ->
+          let got, late, q = dup_storm ~mode ~seed ~n ~crash_at ~down_for in
+          Array.for_all (( = ) 1) got
+          && Squeue.pending q = 0
+          && (Squeue.counters q).Squeue.duplicates_suppressed >= late)
+        [ Squeue.Unordered; Squeue.Fifo ])
+
+let test_late_duplicates_suppressed () =
+  (* The storm does produce late duplicates, so the property above is not
+     vacuous about them. *)
+  List.iter
+    (fun (name, mode) ->
+      let got, late, _ = dup_storm ~mode ~seed:17 ~n:30 ~crash_at:100 ~down_for:200 in
+      checkb (name ^ ": exactly once") true (Array.for_all (( = ) 1) got);
+      checkb (Printf.sprintf "%s: %d late duplicates" name late) true (late > 0))
+    [ ("Unordered", Squeue.Unordered); ("Fifo", Squeue.Fifo) ]
+
+(* Allocation budget of the transport: words per stable-queue message on
+   a 50-site broadcast with a no-op handler.  A message costs ~18
+   (Unordered) and ~14 (Fifo) words — its journal and dedup entries plus
+   amortized table growth; the budgets leave headroom for that and fail
+   long before a per-message closure chain (~170 words) could return. *)
+let test_alloc_budget () =
+  List.iter
+    (fun (name, mode, budget) ->
+      let w = Esr_bench.Msg_cost.words_per_message mode in
+      checkb (Printf.sprintf "%s: %.1f words/msg <= %.0f" name w budget) true
+        (w <= budget))
+    [ ("Unordered", Squeue.Unordered, 45.0); ("Fifo", Squeue.Fifo, 35.0) ]
+
 let () =
   Alcotest.run "esr_squeue"
     [
@@ -206,6 +289,10 @@ let () =
       ( "accounting",
         [
           Alcotest.test_case "counters" `Quick test_counters_consistency;
+          Alcotest.test_case "allocation budget" `Quick test_alloc_budget;
+          Alcotest.test_case "late duplicates suppressed" `Quick
+            test_late_duplicates_suppressed;
+          QCheck_alcotest.to_alcotest prop_exactly_once_duplicate_storm;
           QCheck_alcotest.to_alcotest prop_lossy_fifo_always_delivers_in_order;
           QCheck_alcotest.to_alcotest prop_exactly_once_under_random_crashes;
         ] );

@@ -101,6 +101,55 @@ let test_prng_choose () =
   Alcotest.check_raises "empty" (Invalid_argument "Prng.choose: empty array")
     (fun () -> ignore (Prng.choose prng [||]))
 
+(* Golden vectors: the exact xoshiro256** outputs every experiment's
+   numbers rest on.  Any change to the state representation or the
+   arithmetic that moves a single bit fails here. *)
+let check_stream name t expected =
+  List.iteri
+    (fun i v -> check Alcotest.int64 (Printf.sprintf "%s #%d" name i) v (Prng.bits64 t))
+    expected
+
+let test_prng_golden () =
+  check_stream "seed 0" (Prng.create 0)
+    [ 0x99ec5f36cb75f2b4L; 0xbf6e1f784956452aL; 0x1a5f849d4933e6e0L;
+      0x6aa594f1262d2d2cL; 0xbba5ad4a1f842e59L; 0xffef8375d9ebcacaL;
+      0x6c160deed2f54c98L; 0x8920ad648fc30a3fL ];
+  check_stream "seed 1" (Prng.create 1)
+    [ 0xb3f2af6d0fc710c5L; 0x853b559647364ceaL; 0x92f89756082a4514L;
+      0x642e1c7bc266a3a7L; 0xb27a48e29a233673L; 0x24c123126ffda722L;
+      0x123004ef8df510e6L; 0x61954dcc47b1e89dL ];
+  check_stream "seed 42" (Prng.create 42)
+    [ 0x15780b2e0c2ec716L; 0x6104d9866d113a7eL; 0xae17533239e499a1L;
+      0xecb8ad4703b360a1L; 0xfde6dc7fe2ec5e64L; 0xc50da53101795238L;
+      0xb82154855a65ddb2L; 0xd99a2743ebe60087L ];
+  let parent = Prng.create 42 in
+  let child = Prng.split parent in
+  check_stream "split child" child
+    [ 0x8ee445d14631c453L; 0x106fa1a13296fe62L; 0x729a768806244ce5L;
+      0x91d83a17b20e6585L; 0x38c33df442fc70fdL; 0xe33cd1b92e2e42f1L;
+      0x3162280b9dcfa5efL; 0xb4f9f0541228b854L ];
+  check_stream "parent after split" parent
+    [ 0x6104d9866d113a7eL; 0xae17533239e499a1L; 0xecb8ad4703b360a1L;
+      0xfde6dc7fe2ec5e64L; 0xc50da53101795238L; 0xb82154855a65ddb2L;
+      0xd99a2743ebe60087L; 0xc2e96e726e97647eL ];
+  let orig = Prng.create 1 in
+  ignore (Prng.bits64 orig);
+  ignore (Prng.bits64 orig);
+  let dup = Prng.copy orig in
+  let after_two =
+    [ 0x92f89756082a4514L; 0x642e1c7bc266a3a7L; 0xb27a48e29a233673L;
+      0x24c123126ffda722L; 0x123004ef8df510e6L; 0x61954dcc47b1e89dL;
+      0xddfdb48ab9ed4a21L; 0x8d3cdb8c3aa5b1d0L ]
+  in
+  check_stream "copy" dup after_two;
+  check_stream "original after copy" orig after_two;
+  let t = Prng.create 7 in
+  Alcotest.(check (list int)) "int draws" [ 998; 668; 909; 416 ]
+    (List.init 4 (fun _ -> Prng.int t 1000));
+  Alcotest.(check (float 0.0)) "scaled float draw" 0x1.3d1346279de9p+3
+    (Prng.float t 10.0);
+  Alcotest.(check (float 0.0)) "float draw" 0x1.bedc39c76c431p-1 (Prng.float t 1.0)
+
 (* --- Dist --- *)
 
 let sample_mean dist seed n =
@@ -307,6 +356,7 @@ let () =
           Alcotest.test_case "bernoulli bias" `Quick test_prng_bernoulli_bias;
           Alcotest.test_case "shuffle permutation" `Quick test_prng_shuffle_permutation;
           Alcotest.test_case "choose" `Quick test_prng_choose;
+          Alcotest.test_case "golden vectors" `Quick test_prng_golden;
         ] );
       ( "dist",
         [
