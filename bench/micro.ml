@@ -56,6 +56,25 @@ let test_lock_mgr =
            Lock_mgr.release_all m ~txn
          done))
 
+(* A release must cost the keys the transaction touched, not the keys the
+   manager has ever seen: 5,000 other keys were locked and released first. *)
+let seasoned_lock_mgr () =
+  let m = Lock_mgr.create () in
+  for i = 1 to 5000 do
+    ignore (Lock_mgr.acquire m ~txn:i ~key:(Printf.sprintf "seen%d" i) ~mode:Lock_table.W ());
+    Lock_mgr.release_all m ~txn:i
+  done;
+  m
+
+let acquire2_release m () =
+  ignore (Lock_mgr.acquire m ~txn:0 ~key:"h0" ~mode:Lock_table.W ());
+  ignore (Lock_mgr.acquire m ~txn:0 ~key:"h1" ~mode:Lock_table.W ());
+  Lock_mgr.release_all m ~txn:0
+
+let test_lock_mgr_seasoned =
+  Test.make ~name:"lock_mgr/release_all, 2 held after 5,000 keys seen"
+    (Staged.stage (acquire2_release (seasoned_lock_mgr ())))
+
 let test_engine =
   Test.make ~name:"engine/schedule+run 1000 events"
     (Staged.stage (fun () ->
@@ -215,7 +234,8 @@ let test_prng =
 
 let benchmarks =
   [
-    test_esr_checker; test_overlap; test_lock_mgr; test_engine; test_heap;
+    test_esr_checker; test_overlap; test_lock_mgr; test_lock_mgr_seasoned;
+    test_engine; test_heap;
     test_store_get; test_store_get_id; test_store_set_id; test_store_apply;
     test_store_apply_unit; test_store_apply_id_unit; test_keyspace_intern;
     test_mset_apply; test_mset_build; test_mvstore; test_shard_lookup;
@@ -242,7 +262,7 @@ let bytes_report () =
   print_endline "== Bytes/op (Gc.allocated_bytes delta, warm) ==";
   let row name per_call ops =
     (* per_call covers [ops] logical operations; report per-op. *)
-    Printf.printf "  %-44s %10.1f bytes/op\n" name (per_call /. float_of_int ops)
+    Printf.printf "  %-52s %10.1f bytes/op\n" name (per_call /. float_of_int ops)
   in
   let s = warm_store () in
   let op = Op.Incr 1 in
@@ -299,6 +319,9 @@ let bytes_report () =
           done;
           Sharding.Dests.iter c ignore))
      8);
+  row "lock_mgr/release_all, 2 held after 5,000 keys seen"
+    (bytes_per_op (acquire2_release (seasoned_lock_mgr ())))
+    1;
   (let h = Heap.create ~hint:1024 () in
    row "heap/push+drop_min"
      (bytes_per_op (fun () ->
@@ -312,7 +335,7 @@ let bytes_report () =
      128);
   List.iter
     (fun (name, mode) ->
-      Printf.printf "  %-44s %10.1f words/msg\n" name
+      Printf.printf "  %-52s %10.1f words/msg\n" name
         (Esr_bench.Msg_cost.words_per_message mode))
     [
       ("squeue/message, 50-site broadcast, Unordered", Esr_squeue.Squeue.Unordered);
@@ -337,8 +360,8 @@ let run_all () =
       List.iter
         (fun (name, result) ->
           match Analyze.OLS.estimates result with
-          | Some (est :: _) -> Printf.printf "  %-44s %12.1f ns/run\n" name est
-          | Some [] | None -> Printf.printf "  %-44s (no estimate)\n" name)
+          | Some (est :: _) -> Printf.printf "  %-52s %12.1f ns/run\n" name est
+          | Some [] | None -> Printf.printf "  %-52s (no estimate)\n" name)
         rows)
     benchmarks;
   print_newline ();

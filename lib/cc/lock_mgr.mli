@@ -36,11 +36,20 @@ val acquire :
 val release_all : t -> txn:int -> unit
 (** Drop all locks held by [txn], cancel its queued requests, and grant
     any now-compatible waiters (their [on_grant] callbacks run inside this
-    call, in FIFO order). *)
+    call: FIFO per key, keys in the order [txn] first touched them).
+    Costs work in the keys [txn] touched, not in the keys ever seen; keys
+    left with no holder and no waiter are forgotten. *)
 
 val holds : t -> txn:int -> key:string -> bool
 val holders : t -> key:string -> (int * Lock_table.mode) list
 val queue_length : t -> key:string -> int
+
+val waiters : t -> key:string -> (int * Lock_table.mode) list
+(** Queued requests on [key], FIFO. *)
+
+val active_keys : t -> int
+(** Keys currently held or waited on; 0 once every transaction has
+    released. *)
 
 type counters = { granted : int; blocked : int; deadlocks : int }
 

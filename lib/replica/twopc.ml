@@ -43,7 +43,8 @@ type msg =
   | Lock_granted of { et : Et.id }
   | Prepare of { et : Et.id; ops : (string * Op.t) list; coordinator : int }
   | Vote of { et : Et.id; yes : bool }
-  | Decision of { et : Et.id; commit : bool; coordinator : int }
+  | Decision of { et : Et.id; commit : bool; coordinator : int; prepared : bool }
+      (** [prepared]: this destination was sent a prepare *)
   | Done of { et : Et.id }
 
 type coord_state = {
@@ -58,6 +59,7 @@ type coord_state = {
   mutable c_acks : int;  (* completion acks still awaited *)
   mutable c_aborted : bool;
   mutable c_decided : bool;
+  mutable c_fanned : bool;  (* prepares sent to the participants *)
   c_notify : Intf.update_outcome -> unit;
 }
 
@@ -79,8 +81,12 @@ type site = {
          volatile state across an outage *)
   prepared : (Et.id, (string * Op.t) list) Hashtbl.t;  (* durable *)
   aborted : (Et.id, unit) Hashtbl.t;
-      (* aborts decided while this site's prepare was still waiting for
-         locks: when the late grant finally lands, release immediately *)
+      (* aborts decided before this site's prepare finished (it was queued
+         on locks, or not yet delivered): when the late grant finally
+         lands, release immediately *)
+  refused : (Et.id, unit) Hashtbl.t;
+      (* prepares this site voted no on whose decision has not arrived:
+         that decision must not leave a tombstone *)
   mutable waiting : waiting_q list;
   mutable down : bool;
 }
@@ -156,6 +162,7 @@ let rec receive t ~site:site_id msg =
       | None -> ()
       | Some coord ->
           if not coord.c_decided then begin
+            coord.c_fanned <- true;
             (* Phase 1 proper: prepare at every participant, coordinator
                included when it participates.  The fan-out is 2PC's update
                propagation, so it carries the Propagate profiling phase. *)
@@ -211,17 +218,24 @@ let rec receive t ~site:site_id msg =
             post t ~src:site_id ~dst:coordinator (Vote { et; yes = true })
           end)
         ~fail:(fun () ->
+          (* A no-vote finishes the prepare: consume the abort that beat
+             it here, or mark it so the decision still to come leaves no
+             tombstone. *)
+          if Hashtbl.mem site.aborted et then Hashtbl.remove site.aborted et
+          else Hashtbl.replace site.refused et ();
           post t ~src:site_id ~dst:coordinator (Vote { et; yes = false }))
   | Vote { et; yes } -> coordinator_vote t et yes
-  | Decision { et; commit; coordinator } ->
+  | Decision { et; commit; coordinator; prepared } ->
       (* The lock service lives at site 0: any decision ends the update
          ET's global locks (release also cancels a still-queued request). *)
       if site_id = 0 then Lock_mgr.release_all t.global_locks ~txn:et;
       (match Hashtbl.find_opt site.prepared et with
       | None ->
-          (* Either we voted no (nothing held) or our prepare is still
-             queued on locks; tombstone aborts so the late grant releases. *)
-          if not commit then Hashtbl.replace site.aborted et ()
+          (* Nothing held: either no prepare was sent here, we voted no,
+             or our prepare is still queued on locks or in flight; only
+             the last case needs a tombstone so the late grant releases. *)
+          if Hashtbl.mem site.refused et then Hashtbl.remove site.refused et
+          else if prepared && not commit then Hashtbl.replace site.aborted et ()
       | Some ops ->
           Hashtbl.remove site.prepared et;
           if commit then begin
@@ -290,18 +304,19 @@ and coordinator_vote t et yes =
    which must release the ET's global locks even when it replicates none
    of the touched shards. *)
 and send_decision t coord ~commit =
-  let msg dst =
+  let msg ~prepared dst =
     post t ~src:coord.c_site ~dst
-      (Decision { et = coord.c_et; commit; coordinator = coord.c_site })
+      (Decision { et = coord.c_et; commit; coordinator = coord.c_site; prepared })
   in
+  let prepared = coord.c_fanned in
   match coord.c_parts with
   | None ->
       for dst = 0 to Array.length t.sites - 1 do
-        msg dst
+        msg ~prepared dst
       done
   | Some parts ->
-      if Array.length parts = 0 || parts.(0) <> 0 then msg 0;
-      Array.iter msg parts
+      if Array.length parts = 0 || parts.(0) <> 0 then msg ~prepared:false 0;
+      Array.iter (msg ~prepared) parts
 
 and coordinator_done t et =
   match Hashtbl.find_opt t.coords et with
@@ -335,6 +350,7 @@ let create (env : Intf.env) =
                  locks = Lock_mgr.create ~table:Lock_table.standard ();
                  prepared = Hashtbl.create 16;
                  aborted = Hashtbl.create 16;
+                 refused = Hashtbl.create 16;
                  waiting = [];
                  down = false;
                });
@@ -411,6 +427,7 @@ let submit_update t ~origin intents notify =
         c_acks = acks;
         c_aborted = false;
         c_decided = false;
+        c_fanned = false;
         c_notify = notify;
       }
     in
@@ -573,6 +590,17 @@ let checkpoint t ~site:site_id =
           Checkpoint.cut c ~engine:t.env.Intf.engine ~site:site_id
             ~store:site.store ~hist:site.hist ~reclaimed ()
       end
+
+let tombstones t =
+  Array.fold_left
+    (fun n site -> n + Hashtbl.length site.aborted + Hashtbl.length site.refused)
+    0 t.sites
+
+let locked_keys t =
+  Array.fold_left
+    (fun n site -> n + Lock_mgr.active_keys site.locks)
+    (Lock_mgr.active_keys t.global_locks)
+    t.sites
 
 let quiescent t = Hashtbl.length t.coords = 0 && t.deferred_local = []
 let backlog t = Hashtbl.length t.coords + List.length t.deferred_local

@@ -50,3 +50,11 @@ val stats : t -> (string * float) list
 val resources : t -> site:int -> Intf.resources
 (** Per-site durable/volatile footprint.  No receipt journal here, so
     the WAL fields are zero. *)
+
+val tombstones : t -> int
+(** Abort tombstones and unmatched no-votes, summed over sites: 0 once
+    every decision has met its prepare. *)
+
+val locked_keys : t -> int
+(** Keys held or waited on, summed over every site's lock table and the
+    global lock service: 0 once every transaction has finished. *)

@@ -268,6 +268,283 @@ let prop_mgr_holders_always_compatible =
         keys;
       !ok)
 
+(* Reference model: the full-scan lock manager that predates the
+   transaction index.  Its [release_all] visits every key ever locked (in
+   hash order) and pumps any key that lost a holder or still has a queue;
+   the real manager must end every step in the same per-key state. *)
+module Ref_mgr = struct
+  type request = {
+    txn : int;
+    mode : Lock_table.mode;
+    op : Op.t option;
+    on_grant : unit -> unit;
+  }
+
+  type key_state = { mutable holders : request list; mutable queue : request list }
+
+  type t = {
+    table : Lock_table.t;
+    keys : (string, key_state) Hashtbl.t;
+    waitfor : Waitfor.t;
+  }
+
+  let create table = { table; keys = Hashtbl.create 64; waitfor = Waitfor.create () }
+
+  let key_state t key =
+    match Hashtbl.find_opt t.keys key with
+    | Some s -> s
+    | None ->
+        let s = { holders = []; queue = [] } in
+        Hashtbl.replace t.keys key s;
+        s
+
+  let compatible t ~held ~requested =
+    Lock_table.resolve t.table ~held:(held.mode, held.op)
+      ~requested:(requested.mode, requested.op)
+
+  let admissible t state request =
+    List.for_all
+      (fun held -> held.txn = request.txn || compatible t ~held ~requested:request)
+      state.holders
+
+  let blockers t state request =
+    let conflicting r = r.txn <> request.txn && not (compatible t ~held:r ~requested:request) in
+    List.sort_uniq compare
+      (List.map (fun r -> r.txn)
+         (List.filter conflicting state.holders @ List.filter conflicting state.queue))
+
+  let acquire t ~txn ~key ~mode ?op ~on_grant () =
+    let state = key_state t key in
+    let request = { txn; mode; op; on_grant } in
+    let already_queued = List.exists (fun r -> r.txn = txn) state.queue in
+    let jumps_queue =
+      List.for_all
+        (fun w ->
+          w.txn = txn
+          || (compatible t ~held:w ~requested:request
+             && compatible t ~held:request ~requested:w))
+        state.queue
+    in
+    if (not already_queued) && jumps_queue && admissible t state request then begin
+      state.holders <- state.holders @ [ request ];
+      Lock_mgr.Granted
+    end
+    else if
+      List.for_all
+        (fun holder -> Waitfor.add_edge t.waitfor ~waiter:txn ~holder)
+        (blockers t state request)
+    then begin
+      state.queue <- state.queue @ [ request ];
+      Lock_mgr.Blocked
+    end
+    else begin
+      Waitfor.remove_edges_from t.waitfor ~waiter:txn;
+      Lock_mgr.Deadlock
+    end
+
+  let pump t state =
+    let rec loop () =
+      match state.queue with
+      | next :: rest when admissible t state next ->
+          state.queue <- rest;
+          state.holders <- state.holders @ [ next ];
+          Waitfor.remove_edges_from t.waitfor ~waiter:next.txn;
+          next.on_grant ();
+          loop ()
+      | _ -> ()
+    in
+    loop ()
+
+  let release_all t ~txn =
+    Waitfor.remove_node t.waitfor txn;
+    Hashtbl.iter
+      (fun _ state ->
+        let had = List.exists (fun r -> r.txn = txn) state.holders in
+        state.holders <- List.filter (fun r -> r.txn <> txn) state.holders;
+        state.queue <- List.filter (fun r -> r.txn <> txn) state.queue;
+        if had || state.queue <> [] then pump t state)
+      t.keys
+
+  let view rs = List.map (fun r -> (r.txn, r.mode)) rs
+
+  let holders t ~key =
+    match Hashtbl.find_opt t.keys key with None -> [] | Some s -> view s.holders
+
+  let waiters t ~key =
+    match Hashtbl.find_opt t.keys key with None -> [] | Some s -> view s.queue
+
+  (* The invariant that makes pumping only touched keys enough. *)
+  let heads_inadmissible t =
+    Hashtbl.fold
+      (fun _ state ok ->
+        ok && match state.queue with [] -> true | head :: _ -> not (admissible t state head))
+      t.keys true
+end
+
+let mode_gen table prng =
+  if List.mem Lock_table.R_q (Lock_table.modes table) then
+    match Prng.int prng 4 with
+    | 0 -> (Lock_table.R_u, Some Op.Read)
+    | 1 -> (Lock_table.W_u, Some (Op.Incr 1))
+    | 2 -> (Lock_table.W_u, Some (Op.Mult 2))
+    | _ -> (Lock_table.R_q, Some Op.Read)
+  else if Prng.int prng 2 = 0 then (Lock_table.R, Some Op.Read)
+  else (Lock_table.W, Some (Op.Incr 1))
+
+(* Model check: random acquire / release / deadlock-abort sequences drive
+   the indexed manager and the full-scan reference side by side.  After
+   every step each key has the same holders and queue, both managers have
+   granted the same multiset of (txn, key) requests, and no non-empty
+   queue has an admissible head.  At the end, releasing everyone leaves
+   no active key. *)
+let prop_mgr_matches_full_scan_model =
+  let table_gen = QCheck.Gen.oneofl Lock_table.all in
+  let gen = QCheck.make QCheck.Gen.(pair table_gen (pair int (int_range 10 80))) in
+  QCheck.Test.make ~name:"indexed release_all matches the full-scan model" ~count:300 gen
+    (fun (table, (seed, steps)) ->
+      let prng = Prng.create seed in
+      let m = Lock_mgr.create ~table () in
+      let r = Ref_mgr.create table in
+      let keys = [| "a"; "b"; "c"; "d" |] in
+      let got_m = ref [] and got_r = ref [] in
+      let ok = ref true in
+      let agree () =
+        Array.iter
+          (fun key ->
+            if Lock_mgr.holders m ~key <> Ref_mgr.holders r ~key
+               || Lock_mgr.waiters m ~key <> Ref_mgr.waiters r ~key
+            then ok := false)
+          keys;
+        if List.sort compare !got_m <> List.sort compare !got_r then ok := false;
+        if not (Ref_mgr.heads_inadmissible r) then ok := false
+      in
+      let release txn =
+        Lock_mgr.release_all m ~txn;
+        Ref_mgr.release_all r ~txn
+      in
+      for _ = 1 to steps do
+        let txn = 1 + Prng.int prng 6 in
+        if Prng.int prng 4 = 0 then release txn
+        else begin
+          let key = keys.(Prng.int prng (Array.length keys)) in
+          let mode, op = mode_gen table prng in
+          let om =
+            Lock_mgr.acquire m ~txn ~key ~mode ?op
+              ~on_grant:(fun () -> got_m := (txn, key) :: !got_m)
+              ()
+          in
+          let orf =
+            Ref_mgr.acquire r ~txn ~key ~mode ?op
+              ~on_grant:(fun () -> got_r := (txn, key) :: !got_r)
+              ()
+          in
+          if om <> orf then ok := false;
+          if om = Lock_mgr.Granted then got_m := (txn, key) :: !got_m;
+          if orf = Lock_mgr.Granted then got_r := (txn, key) :: !got_r;
+          (* A deadlock victim aborts. *)
+          if om = Lock_mgr.Deadlock then release txn
+        end;
+        agree ()
+      done;
+      for txn = 1 to 6 do
+        release txn
+      done;
+      agree ();
+      !ok && Lock_mgr.active_keys m = 0)
+
+(* [release_all] pumps the releasing transaction's keys in the order it
+   first touched them, whatever the hash layout. *)
+let test_mgr_release_in_acquisition_order () =
+  let m = Lock_mgr.create () in
+  let order = [ "zeta"; "alpha"; "mu"; "beta"; "omega" ] in
+  let woken = ref [] in
+  List.iter (fun key -> ignore (Lock_mgr.acquire m ~txn:1 ~key ~mode:Lock_table.W ())) order;
+  List.iteri
+    (fun i key ->
+      ignore
+        (Lock_mgr.acquire m ~txn:(10 + i) ~key ~mode:Lock_table.W
+           ~on_grant:(fun () -> woken := key :: !woken)
+           ()))
+    order;
+  Lock_mgr.release_all m ~txn:1;
+  Alcotest.(check (list string)) "grants follow acquisition order" order (List.rev !woken)
+
+(* Grant sequences must not depend on the key table's history: two
+   managers that have seen 1,000 filler keys in opposite orders (so their
+   hash tables differ in size and layout) grant identically. *)
+let test_mgr_grants_independent_of_history () =
+  let run fillers =
+    let m = Lock_mgr.create () in
+    List.iter
+      (fun i ->
+        ignore (Lock_mgr.acquire m ~txn:i ~key:(Printf.sprintf "filler%d" i) ~mode:Lock_table.W ());
+        Lock_mgr.release_all m ~txn:i)
+      fillers;
+    checki "fillers forgotten" 0 (Lock_mgr.active_keys m);
+    let grants = ref [] in
+    let keys = List.init 12 (Printf.sprintf "k%d") in
+    List.iter (fun key -> ignore (Lock_mgr.acquire m ~txn:5000 ~key ~mode:Lock_table.W ())) keys;
+    List.iteri
+      (fun i key ->
+        let txn = 5001 + (i mod 4) in
+        ignore
+          (Lock_mgr.acquire m ~txn ~key ~mode:Lock_table.R
+             ~on_grant:(fun () -> grants := (txn, key) :: !grants)
+             ()))
+      (List.rev keys);
+    Lock_mgr.release_all m ~txn:5000;
+    for txn = 5001 to 5004 do
+      Lock_mgr.release_all m ~txn
+    done;
+    checki "no active keys at quiescence" 0 (Lock_mgr.active_keys m);
+    List.rev !grants
+  in
+  let ascending = run (List.init 1000 Fun.id) in
+  let descending = run (List.init 1000 (fun i -> 999 - i)) in
+  checki "every waiter granted" 12 (List.length ascending);
+  checkb "identical grant sequences" true (ascending = descending)
+
+(* [on_grant] callbacks re-enter the manager, as 2PC's sequential
+   acquisition does: each grant acquires the next key, and one grant
+   releases its own transaction mid-release.  FIFO holds across the
+   nesting and everything drains. *)
+let test_mgr_reentrant_release () =
+  let m = Lock_mgr.create () in
+  let rec chain txn = function
+    | [] -> ()
+    | key :: rest -> (
+        match
+          Lock_mgr.acquire m ~txn ~key ~mode:Lock_table.W
+            ~on_grant:(fun () -> chain txn rest)
+            ()
+        with
+        | Lock_mgr.Granted -> chain txn rest
+        | Lock_mgr.Blocked | Lock_mgr.Deadlock -> ())
+  in
+  let reader_done = ref false in
+  chain 1 [ "a"; "b"; "c" ];
+  chain 2 [ "a"; "b"; "c" ];
+  chain 3 [ "b"; "c" ];
+  ignore
+    (Lock_mgr.acquire m ~txn:4 ~key:"c" ~mode:Lock_table.R
+       ~on_grant:(fun () ->
+         reader_done := true;
+         Lock_mgr.release_all m ~txn:4)
+       ());
+  (* Releasing 1 grants a to 2, whose next request queues behind 3 on b;
+     3 gets b, then c once the reader has come and gone. *)
+  Lock_mgr.release_all m ~txn:1;
+  checkb "reader ran and left" true !reader_done;
+  checkb "txn 2 holds a" true (Lock_mgr.holds m ~txn:2 ~key:"a");
+  checkb "txn 3 holds b and c" true
+    (Lock_mgr.holds m ~txn:3 ~key:"b" && Lock_mgr.holds m ~txn:3 ~key:"c");
+  Alcotest.(check (list int)) "txn 2 waits on b" [ 2 ] (List.map fst (Lock_mgr.waiters m ~key:"b"));
+  Lock_mgr.release_all m ~txn:3;
+  checkb "txn 2 holds all three" true
+    (List.for_all (fun key -> Lock_mgr.holds m ~txn:2 ~key) [ "a"; "b"; "c" ]);
+  Lock_mgr.release_all m ~txn:2;
+  checki "drained" 0 (Lock_mgr.active_keys m)
+
 (* --- Lock counters --- *)
 
 let test_counter_basic () =
@@ -424,6 +701,13 @@ let () =
           Alcotest.test_case "FIFO fairness" `Quick
             test_mgr_queued_fairness_blocks_new_compatible;
           QCheck_alcotest.to_alcotest prop_mgr_holders_always_compatible;
+          Alcotest.test_case "release in acquisition order" `Quick
+            test_mgr_release_in_acquisition_order;
+          Alcotest.test_case "grants independent of history" `Quick
+            test_mgr_grants_independent_of_history;
+          Alcotest.test_case "re-entrant release drains" `Quick
+            test_mgr_reentrant_release;
+          QCheck_alcotest.to_alcotest prop_mgr_matches_full_scan_model;
         ] );
       ( "lock counters",
         [

@@ -541,6 +541,53 @@ let test_twopc_timeout_aborts_under_partition () =
   (* The abort propagated: nothing applied anywhere. *)
   all_sites_equal h ~sites:4 "x" Value.zero
 
+(* Abort tombstones must not leak.  A jittery network lets decisions
+   overtake prepares, a short timeout aborts ETs both before and after
+   their prepares fan out, and two-key queries taken in the reverse order
+   deadlock with prepared writers, so participants vote no.  Once settled,
+   every tombstone has met its prepare and every lock table is empty.
+   The seeds are the ones that exercise each path (a decision that beats
+   a prepare which then votes no is rare). *)
+let test_twopc_tombstones_drain () =
+  let module Twopc = Esr_replica.Twopc in
+  let module Prng = Esr_util.Prng in
+  let config = { default with twopc_timeout = 300.0 } in
+  let keys = Array.init 6 (Printf.sprintf "k%d") in
+  let timeouts = ref 0 and no_votes = ref 0 in
+  List.iter
+    (fun seed ->
+      let engine = Engine.create () in
+      let prng = Prng.create seed in
+      let net = Net.create ~config:jittery engine ~sites:4 ~prng:(Prng.split prng) in
+      let sys = Twopc.create (Intf.make_env ~config ~engine ~net ~prng ()) in
+      for i = 0 to 199 do
+        let key j = keys.((i + j) mod Array.length keys) in
+        ignore
+          (Engine.schedule engine ~delay:(float_of_int (i * 40)) (fun () ->
+               Twopc.submit_update sys ~origin:(i mod 4)
+                 [ Intf.Add (key 0, 1); Intf.Add (key 1, 1) ]
+                 (function
+                   | Intf.Rejected "2PC: aborted (timeout)" -> incr timeouts
+                   | Intf.Rejected "2PC: aborted (deadlock vote)" -> incr no_votes
+                   | _ -> ());
+               for j = 0 to 7 do
+                 Twopc.submit_query sys ~site:((i + j) mod 4)
+                   ~keys:[ key (j + 1); key j ] ~epsilon:Epsilon.Unlimited
+                   (fun _ -> ())
+               done))
+      done;
+      let rec settle n =
+        Engine.run engine;
+        n > 0 && (Twopc.quiescent sys || (Twopc.flush sys; settle (n - 1)))
+      in
+      checkb "settled" true (settle 10);
+      checki "no tombstones left" 0 (Twopc.tombstones sys);
+      checki "no locked keys left" 0 (Twopc.locked_keys sys);
+      checkb "converged" true (Twopc.converged sys))
+    [ 3; 5; 8; 12 ];
+  checkb "some ETs timed out" true (!timeouts > 0);
+  checkb "some participants voted no" true (!no_votes > 0)
+
 (* --- QUORUM --- *)
 
 let test_quorum_commit_and_read () =
@@ -908,6 +955,7 @@ let () =
           Alcotest.test_case "queries SR" `Quick test_twopc_queries_are_sr;
           Alcotest.test_case "timeout under partition" `Quick
             test_twopc_timeout_aborts_under_partition;
+          Alcotest.test_case "tombstones drain" `Quick test_twopc_tombstones_drain;
         ] );
       ( "quorum",
         [
