@@ -97,7 +97,7 @@ let () =
   let s, r, h = !expected in
   let show key want =
     Printf.printf "  %-10s %6s (expected %6d)\n" key
-      (Value.to_string (Store.get (Compe.store sys ~site:0) key))
+      (Value.to_string (Store.get (Compe.sites sys).(0).Intf.store key))
       want
   in
   show "stock" s;

@@ -19,7 +19,6 @@ module Op = Esr_store.Op
 module Store = Esr_store.Store
 module Keyspace = Esr_store.Keyspace
 module Sharding = Esr_store.Sharding
-module Hist = Esr_core.Hist
 module Et = Esr_core.Et
 module Epsilon = Esr_core.Epsilon
 module Lock_counter = Esr_cc.Lock_counter
@@ -52,16 +51,13 @@ type parked = { resume : unit -> unit; fail : unit -> unit }
 type active_q = { mutable killed : bool }
 
 type site = {
-  id : int;
-  mutable store : Store.t;  (* volatile image; rebuilt from [hist] *)
-  mutable hist : Hist.t;  (* the durable log *)
+  d : Replica_site.t;  (* the durable half: id, store, log, down flag *)
   counters : Lock_counter.t;
       (* derivable from the durable log (applied-but-uncompleted ETs), so
          recovery keeps them: modelled as durable *)
   mutable parked_queries : parked list;
   mutable parked_updates : parked list;
   mutable active_queries : active_q list;
-  mutable down : bool;
 }
 
 (* Origin-side record of an update ET awaiting acks from all replicas. *)
@@ -69,10 +65,10 @@ type inflight = { charges : (string * float) list; mutable waiting_acks : int }
 
 type t = {
   env : Intf.env;
+  durable : Replica_site.t array;
   sites : site array;
   fabric : msg Squeue.t;
   inflight : (Et.id, inflight) Hashtbl.t;
-  full : bool;  (* replicate-everywhere: keep the historical broadcast path *)
   dests : Sharding.Dests.t;  (* scratch interest cursor (routing only) *)
   mutable n_updates : int;
   mutable n_queries : int;
@@ -91,9 +87,6 @@ let meta =
     sorting_time = "doesn't matter";
   }
 
-let log_action site ~et ~key op =
-  site.hist <- Hist.append site.hist (Et.action ~et ~key op)
-
 let wake_queries site =
   let waiting = List.rev site.parked_queries in
   site.parked_queries <- [];
@@ -109,33 +102,27 @@ let apply_mset_inner t site mset =
   if Trace.on trace then
     Trace.emit trace ~time:(Engine.now t.env.engine)
       (Trace.Mset_applied
-         { et = mset.et; site = site.id; n_ops = List.length mset.ops; order = None });
+         { et = mset.et; site = site.d.id; n_ops = List.length mset.ops; order = None });
   List.iter
     (fun (i : Intf.iop) ->
       (* Partial replication: a site executes only the ops on keys it
          replicates (with the full map every op qualifies). *)
-      if
-        t.full
-        || Sharding.replicates_id t.env.Intf.sharding ~site:site.id ~id:i.Intf.id
+      if Sharding.replicates_id t.env.Intf.sharding ~site:site.d.id ~id:i.Intf.id
       then begin
         let key = i.Intf.key in
         ignore (Lock_counter.incr site.counters key);
         ignore (Lock_counter.add_weight site.counters key (op_weight i.Intf.op));
-        (match Store.apply_id_unit site.store i.Intf.id i.Intf.op with
+        (match Store.apply_id_unit site.d.store i.Intf.id i.Intf.op with
         | Ok () -> ()
         | Error _ -> invalid_arg "COMMU: commutative op failed to apply");
-        log_action site ~et:mset.et ~key i.Intf.op
+        Replica_site.log_action site.d ~et:mset.et ~key i.Intf.op
       end)
     mset.ops
 
 let apply_mset t site mset =
-  let prof = t.env.Intf.obs.Esr_obs.Obs.prof in
-  if Prof.on prof then begin
-    let t0 = Prof.start prof in
-    let a0 = Prof.alloc0 prof in
-    apply_mset_inner t site mset;
-    Prof.record prof ~site:site.id Prof.Apply ~t0 ~a0
-  end
+  if Prof.on t.env.Intf.obs.Esr_obs.Obs.prof then
+    Replica_site.timed t.env ~site:site.d.id Prof.Apply (fun () ->
+        apply_mset_inner t site mset)
   else apply_mset_inner t site mset
 
 let charges_of ops =
@@ -147,9 +134,8 @@ let complete_at t site charges =
       (* Only counters this site actually raised (it applied only the
          replicated subset of the MSet). *)
       if
-        t.full
-        || Sharding.replicates_id t.env.Intf.sharding ~site:site.id
-             ~id:(Keyspace.find t.env.Intf.keyspace key)
+        Sharding.replicates_id t.env.Intf.sharding ~site:site.d.id
+          ~id:(Keyspace.find t.env.Intf.keyspace key)
       then begin
         ignore (Lock_counter.decr site.counters key);
         ignore (Lock_counter.remove_weight site.counters key w)
@@ -184,53 +170,43 @@ let receive t ~site:site_id msg =
           record.waiting_acks <- record.waiting_acks - 1;
           if record.waiting_acks = 0 then begin
             Hashtbl.remove t.inflight et;
-            let complete = Complete { et; charges = record.charges } in
-            if t.full then Squeue.broadcast t.fabric ~src:site_id complete
-            else
-              Squeue.multicast t.fabric ~src:site_id
-                ~dests:(interested t record.charges)
-                complete;
+            Squeue.multicast t.fabric ~src:site_id
+              ~dests:(interested t record.charges)
+              (Complete { et; charges = record.charges });
             complete_at t site record.charges
           end)
   | Complete { et = _; charges } -> complete_at t site charges
 
 let create (env : Intf.env) =
+  let durable = Replica_site.create env in
   let rec t =
     lazy
-      (let fabric =
-         Squeue.create ~mode:Squeue.Unordered
-           ~retry_interval:env.Intf.config.Intf.retry_interval
-           ?backoff:env.Intf.config.Intf.retry_backoff
-           ~obs:env.Intf.obs env.Intf.net
-           ~handler:(fun ~site ~src:_ msg -> receive (Lazy.force t) ~site msg)
-       in
-       {
-         env;
-         sites =
-           Array.init env.Intf.sites (fun id ->
-               {
-                 id;
-                 store =
-                   Store.create ~size:env.Intf.store_hint
-                     ~keyspace:env.Intf.keyspace ();
-                 hist = Hist.empty;
-                 counters = Lock_counter.create ~hint:env.Intf.store_hint ();
-                 parked_queries = [];
-                 parked_updates = [];
-                 active_queries = [];
-                 down = false;
-               });
-         fabric;
-         inflight = Hashtbl.create 32;
-         full = Sharding.is_full env.Intf.sharding;
-         dests = Sharding.Dests.cursor env.Intf.sharding;
-         n_updates = 0;
-         n_queries = 0;
-         n_rejected = 0;
-         n_query_waits = 0;
-         n_update_waits = 0;
-         n_charged_units = 0;
-       })
+      {
+        env;
+        durable;
+        sites =
+          Array.map
+            (fun d ->
+              {
+                d;
+                counters = Lock_counter.create ~hint:env.Intf.store_hint ();
+                parked_queries = [];
+                parked_updates = [];
+                active_queries = [];
+              })
+            durable;
+        fabric =
+          Replica_site.fabric env ~mode:Squeue.Unordered (fun ~site ~src:_ msg ->
+              receive (Lazy.force t) ~site msg);
+        inflight = Hashtbl.create 32;
+        dests = Sharding.Dests.cursor env.Intf.sharding;
+        n_updates = 0;
+        n_queries = 0;
+        n_rejected = 0;
+        n_query_waits = 0;
+        n_update_waits = 0;
+        n_charged_units = 0;
+      }
   in
   Lazy.force t
 
@@ -244,7 +220,7 @@ let intent_to_op = function
            "COMMU: Mul on %s does not commute with the additive class" k)
 
 let submit_update t ~origin intents k =
-  if t.sites.(origin).down then k (Intf.Rejected "origin site down")
+  if t.durable.(origin).down then k (Intf.Rejected "origin site down")
   else
   let translated = List.map intent_to_op intents in
   match List.find_opt Result.is_error translated with
@@ -336,28 +312,17 @@ let submit_update t ~origin intents k =
             (* Interest routing: the MSet travels only to sites replicating
                a touched shard.  With the full map that is everybody. *)
             let n_remote =
-              if t.full then t.env.Intf.sites - 1
-              else
-                let c = interested t charges in
-                if Sharding.Dests.mem c origin then Sharding.Dests.count c - 1
-                else Sharding.Dests.count c
+              let c = interested t charges in
+              if Sharding.Dests.mem c origin then Sharding.Dests.count c - 1
+              else Sharding.Dests.count c
             in
             if n_remote > 0 then begin
               Hashtbl.replace t.inflight et { charges; waiting_acks = n_remote };
               let propagate () =
-                if t.full then Squeue.broadcast t.fabric ~src:origin (Apply mset)
-                else
-                  Squeue.multicast t.fabric ~src:origin
-                    ~dests:(interested t charges) (Apply mset)
+                Squeue.multicast t.fabric ~src:origin
+                  ~dests:(interested t charges) (Apply mset)
               in
-              let prof = t.env.Intf.obs.Esr_obs.Obs.prof in
-              if Prof.on prof then begin
-                let t0 = Prof.start prof in
-                let a0 = Prof.alloc0 prof in
-                propagate ();
-                Prof.record prof ~site:origin Prof.Propagate ~t0 ~a0
-              end
-              else propagate ()
+              Replica_site.timed t.env ~site:origin Prof.Propagate propagate
             end
             else complete_at t site charges;
             (* The update ET commits locally and propagates asynchronously. *)
@@ -375,12 +340,12 @@ let submit_query t ~site:site_id ~keys ~epsilon k =
   let started_at = Engine.now t.env.engine in
   let waited = ref false in
   let values = ref [] in
-  if site.down then
+  if site.d.down then
     (* Graceful failure: a crashed site answers from its last image,
        flagged degraded. *)
     k
       {
-        Intf.values = List.map (fun key -> (key, Store.get site.store key)) keys;
+        Intf.values = List.map (fun key -> (key, Store.get site.d.store key)) keys;
         charged = 0;
         forced = 0;
         consistent_path = false;
@@ -400,8 +365,8 @@ let submit_query t ~site:site_id ~keys ~epsilon k =
         let snapshot =
           List.map
             (fun key ->
-              log_action site ~et ~key Op.Read;
-              (key, Store.get site.store key))
+              Replica_site.log_action site.d ~et ~key Op.Read;
+              (key, Store.get site.d.store key))
             keys
         in
         k
@@ -423,7 +388,7 @@ let submit_query t ~site:site_id ~keys ~epsilon k =
           k
             {
               Intf.values =
-                List.map (fun key -> (key, Store.get site.store key)) keys;
+                List.map (fun key -> (key, Store.get site.d.store key)) keys;
               charged = 0;
               forced = 0;
               consistent_path = false;
@@ -464,14 +429,13 @@ let submit_query t ~site:site_id ~keys ~epsilon k =
         let admissible = pending = 0 || Epsilon.try_charge eps pending in
         if admissible then begin
           if pending > 0 then t.n_charged_units <- t.n_charged_units + pending;
-          log_action site ~et ~key Op.Read;
-          values := (key, Store.get site.store key) :: !values;
+          Replica_site.log_action site.d ~et ~key Op.Read;
+          values := (key, Store.get site.d.store key) :: !values;
           if rest = [] then step []
           else
             ignore
-              (Engine.schedule t.env.engine
-                 ~delay:t.env.Intf.config.Intf.query_step_delay (fun () ->
-                   step rest))
+              (Engine.schedule t.env.engine ~delay:Replica_site.query_step_delay
+                 (fun () -> step rest))
         end
         else begin
           (* Too much in-flight inconsistency on this object: wait for
@@ -493,50 +457,31 @@ let flush _ = ()
 
 let on_crash t ~site:site_id =
   let site = t.sites.(site_id) in
-  if not site.down then begin
-    site.down <- true;
-    (* COMMU applies MSets on receipt, so there is no order buffer to lose.
-       The lock counters and origin-side ack tables are derivable from the
-       durable log (applied-but-uncompleted ETs) — classic coordinator-log
-       state — so they survive; acks and completions blocked by the outage
-       arrive through the stable-queue backlog after recovery.  What dies
-       is the wait contexts: parked and in-step queries answer degraded,
-       parked (never-applied) updates are rejected. *)
-    let pq = site.parked_queries and pu = site.parked_updates in
-    site.parked_queries <- [];
-    site.parked_updates <- [];
-    List.iter (fun p -> p.fail ()) pq;
-    List.iter (fun p -> p.fail ()) pu;
-    let killed = List.length site.active_queries in
-    List.iter (fun aq -> aq.killed <- true) site.active_queries;
-    site.active_queries <- [];
-    Recovery.emit_volatile_dropped ~obs:t.env.Intf.obs ~engine:t.env.Intf.engine
-      ~site:site_id ~buffered:0
-      ~queries_failed:(List.length pq + killed)
-      ~updates_rejected:(List.length pu) ~log:(Hist.length site.hist)
-  end
+  Replica_site.crash t.env site.d (fun () ->
+      (* COMMU applies MSets on receipt, so there is no order buffer to
+         lose.  The lock counters and origin-side ack tables are derivable
+         from the durable log (applied-but-uncompleted ETs) — classic
+         coordinator-log state — so they survive; acks and completions
+         blocked by the outage arrive through the stable-queue backlog
+         after recovery.  What dies is the wait contexts: parked and
+         in-step queries answer degraded, parked (never-applied) updates
+         are rejected. *)
+      let pq = site.parked_queries and pu = site.parked_updates in
+      site.parked_queries <- [];
+      site.parked_updates <- [];
+      List.iter (fun p -> p.fail ()) pq;
+      List.iter (fun p -> p.fail ()) pu;
+      let killed = List.length site.active_queries in
+      List.iter (fun aq -> aq.killed <- true) site.active_queries;
+      site.active_queries <- [];
+      {
+        Replica_site.buffered = 0;
+        queries_failed = List.length pq + killed;
+        updates_rejected = List.length pu;
+      })
 
-let on_recover t ~site:site_id =
-  let site = t.sites.(site_id) in
-  if site.down then begin
-    site.down <- false;
-    site.store <-
-      Recovery.replay_site ?ckpt:t.env.Intf.checkpoint
-        ~keyspace:t.env.Intf.keyspace ~size:t.env.Intf.store_hint
-        ~obs:t.env.Intf.obs ~engine:t.env.Intf.engine ~site:site_id site.hist
-  end
-
-let checkpoint t ~site:site_id =
-  match t.env.Intf.checkpoint with
-  | None -> ()
-  | Some c ->
-      let site = t.sites.(site_id) in
-      if not site.down then begin
-        let reclaimed = Squeue.gc_site t.fabric ~site:site_id in
-        site.hist <-
-          Checkpoint.cut c ~engine:t.env.Intf.engine ~site:site_id
-            ~store:site.store ~hist:site.hist ~reclaimed ()
-      end
+let on_recover t ~site = ignore (Replica_site.recover t.env t.durable.(site))
+let checkpoint t ~site = Replica_site.checkpoint t.env t.durable.(site) t.fabric
 
 let quiescent t =
   Hashtbl.length t.inflight = 0
@@ -555,14 +500,11 @@ let backlog t =
     (Hashtbl.length t.inflight)
     t.sites
 
-let store t ~site = t.sites.(site).store
+let sites t = t.durable
 let mvstore _ ~site:_ = None
-let history t ~site = t.sites.(site).hist
 
-let converged t =
-  (* Shard-aware: a site is only compared on the keys it replicates. *)
-  Sharding.converged t.env.Intf.sharding ~keyspace:t.env.Intf.keyspace
-    ~store:(fun site -> t.sites.(site).store)
+(* Shard-aware: a site is only compared on the keys it replicates. *)
+let converged t = Replica_site.converged t.env t.durable
 
 let stats t =
   [
@@ -574,15 +516,4 @@ let stats t =
     ("charged_units", float_of_int t.n_charged_units);
   ]
 
-(* COMMU applies on receipt, so it keeps no receipt journal: the durable
-   log plus the completion protocol is its whole recovery story. *)
-let resources t ~site:site_id =
-  let site = t.sites.(site_id) in
-  {
-    Intf.no_resources with
-    Intf.log_entries = Hist.length site.hist;
-    log_bytes = Hist.approx_bytes site.hist;
-    journal_depth = Squeue.journal_depth t.fabric ~site:site_id;
-    journal_enqueued = Squeue.journaled t.fabric ~site:site_id;
-    store_words = Store.live_words site.store;
-  }
+let resources t ~site = Replica_site.resources t.durable.(site) t.fabric

@@ -25,11 +25,9 @@
     epsilon (also reported). *)
 
 module Op = Esr_store.Op
-module Value = Esr_store.Value
 module Store = Esr_store.Store
 module Keyspace = Esr_store.Keyspace
 module Sharding = Esr_store.Sharding
-module Hist = Esr_core.Hist
 module Et = Esr_core.Et
 module Epsilon = Esr_core.Epsilon
 module Sequencer = Esr_clock.Sequencer
@@ -56,6 +54,11 @@ type msg =
   | Saga_end of { sid : int }
       (** the saga completed: release its deferred lock-counters *)
 
+(* No stream hands out ticket 0: the empty value of a launch's shared
+   message (see [launch_step]). *)
+let no_provisional =
+  Provisional { et = 0; ticket = 0; ops = []; origin = 0; saga = None }
+
 type entry = {
   e_et : Et.id;
   e_ops : (string * Op.t) list;
@@ -81,9 +84,7 @@ type done_query = { dq_observed : Et.id list; mutable dq_tainted : bool }
 type parked = { resume : unit -> unit; fail : unit -> unit }
 
 type site = {
-  id : int;
-  mutable store : Store.t;  (* volatile image; rebuilt from [hist] *)
-  mutable hist : Hist.t;  (* the durable log *)
+  d : Replica_site.t;  (* the durable half: id, store, log, down flag *)
   mutable last_exec : int;
   buffer : (int, mset) Hashtbl.t;
   mutable log : entry list;
@@ -103,7 +104,6 @@ type site = {
   ended_sagas : (int, unit) Hashtbl.t;
       (* Saga_end may overtake a step's commit decision: late steps of an
          ended saga release their counters immediately *)
-  mutable down : bool;
 }
 
 (* A globally undecided update ET, indexed so a crash of its origin (the
@@ -116,13 +116,12 @@ type decision = {
 
 type t = {
   env : Intf.env;
-  full : bool;  (* replication factor = sites: historical broadcast path *)
   dests : Sharding.Dests.t;  (* reusable routing cursor (launch path) *)
-  sequencer : Sequencer.t;
-  site_issued : int array;
-      (* per-site dense ticket streams under partial replication — the
-         same interest-ordered sequencer as ordup.ml *)
+  streams : Sequencer.t array;
+      (* per-site dense ticket streams — the same interest-ordered
+         sequencer as ordup.ml *)
   prng : Prng.t;
+  durable : Replica_site.t array;
   sites : site array;
   fabric : msg Squeue.t;
   outcomes : (Et.id, Intf.update_outcome -> unit) Hashtbl.t;
@@ -160,9 +159,6 @@ let meta =
     sorting_time = "N/A";
   }
 
-let log_action site ~et ~key op =
-  site.hist <- Hist.append site.hist (Et.action ~et ~key op)
-
 let wake_queries site =
   let waiting = List.rev site.parked_queries in
   site.parked_queries <- [];
@@ -176,7 +172,7 @@ let apply_entry_ops site entry =
   let undos =
     List.fold_left
       (fun acc (key, op) ->
-        match Store.apply site.store key op with
+        match Store.apply site.d.store key op with
         | Ok undo -> undo :: acc
         | Error _ -> invalid_arg "COMPE: op failed to apply")
       [] entry.e_ops
@@ -199,7 +195,7 @@ let trace_compensation t site et kind =
   let trace = t.env.Intf.obs.Esr_obs.Obs.trace in
   if Trace.on trace then
     Trace.emit trace ~time:(Engine.now t.env.engine)
-      (Trace.Compensation_fired { et; site = site.id; kind })
+      (Trace.Compensation_fired { et; site = site.d.id; kind })
 
 let compensate_fast t site aborted =
   t.n_fast <- t.n_fast + 1;
@@ -228,7 +224,9 @@ let compensate_fast t site aborted =
   in
   apply_entry_ops site entry;
   site.log <- entry :: site.log;
-  List.iter (fun (key, inv) -> log_action site ~et:comp_et ~key inv) inverse_ops
+  List.iter
+    (fun (key, inv) -> Replica_site.log_action site.d ~et:comp_et ~key inv)
+    inverse_ops
 
 let compensate_full t site aborted later =
   t.n_full <- t.n_full + 1;
@@ -236,9 +234,9 @@ let compensate_full t site aborted later =
   t.rollback_depth_total <- t.rollback_depth_total + List.length later;
   (* Undo the log tail physically, newest first, then the aborted entry. *)
   List.iter
-    (fun entry -> List.iter (Store.rollback site.store) entry.e_undos)
+    (fun entry -> List.iter (Store.rollback site.d.store) entry.e_undos)
     later;
-  List.iter (Store.rollback site.store) aborted.e_undos;
+  List.iter (Store.rollback site.d.store) aborted.e_undos;
   (* Replay the tail in original order, refreshing undo images. *)
   List.iter
     (fun entry ->
@@ -248,7 +246,9 @@ let compensate_full t site aborted later =
   (* Log the repair as a compensation ET writing the restored values. *)
   let comp_et = t.env.Intf.next_et () in
   List.iter
-    (fun key -> log_action site ~et:comp_et ~key (Op.Write (Store.get site.store key)))
+    (fun key ->
+      Replica_site.log_action site.d ~et:comp_et ~key
+        (Op.Write (Store.get site.d.store key)))
     (List.sort_uniq String.compare (entry_keys aborted))
 
 (* The compensation of [et] contaminates exactly the queries that read a
@@ -378,7 +378,7 @@ and remove_first key = function
   | head :: rest -> if String.equal head key then rest else head :: remove_first key rest
 
 let execute_inner t site mset =
-  Recovery.Wal.consume t.wal ~site:site.id ~key:mset.et;
+  Recovery.Wal.consume t.wal ~site:site.d.id ~key:mset.et;
   match Hashtbl.find_opt site.early mset.et with
   | Some false ->
       (* Aborted before it ever executed here: skip entirely. *)
@@ -388,15 +388,7 @@ let execute_inner t site mset =
       (* Union routing delivers the whole MSet to every interested site;
          each site executes (and counter-covers, and may later compensate)
          only the shards it replicates. *)
-      let ops =
-        if t.full then mset.ops
-        else
-          List.filter
-            (fun (key, _) ->
-              Sharding.replicates_id t.env.Intf.sharding ~site:site.id
-                ~id:(Keyspace.find t.env.Intf.keyspace key))
-            mset.ops
-      in
+      let ops = Replica_site.replicated_ops t.env ~site:site.d.id mset.ops in
       let entry =
         {
           e_et = mset.et;
@@ -410,12 +402,12 @@ let execute_inner t site mset =
       if Trace.on trace then
         Trace.emit trace ~time:(Engine.now t.env.engine)
           (Trace.Mset_applied
-             { et = mset.et; site = site.id; n_ops = List.length ops; order = None });
+             { et = mset.et; site = site.d.id; n_ops = List.length ops; order = None });
       apply_entry_ops site entry;
       List.iter
         (fun (key, op) ->
           ignore (Lock_counter.incr site.counters key);
-          log_action site ~et:mset.et ~key op)
+          Replica_site.log_action site.d ~et:mset.et ~key op)
         ops;
       site.log <- entry :: site.log;
       (match early with
@@ -425,13 +417,9 @@ let execute_inner t site mset =
       | Some false | None -> ())
 
 let execute t site mset =
-  let prof = t.env.Intf.obs.Esr_obs.Obs.prof in
-  if Prof.on prof then begin
-    let t0 = Prof.start prof in
-    let a0 = Prof.alloc0 prof in
-    execute_inner t site mset;
-    Prof.record prof ~site:site.id Prof.Apply ~t0 ~a0
-  end
+  if Prof.on t.env.Intf.obs.Esr_obs.Obs.prof then
+    Replica_site.timed t.env ~site:site.d.id Prof.Apply (fun () ->
+        execute_inner t site mset)
   else execute_inner t site mset
 
 let rec drain t site =
@@ -471,89 +459,76 @@ let receive t ~site:site_id msg =
    down they are stashed as its durable coordinator records and replayed
    at recovery. *)
 let local_receive t ~site msg =
-  if t.sites.(site).down then t.deferred_local <- (site, msg) :: t.deferred_local
+  if t.durable.(site).down then t.deferred_local <- (site, msg) :: t.deferred_local
   else receive t ~site msg
 
-(* Coordinator-record fan-out (Decide / Revoke): every site under full
-   replication, only the launch-time participant set otherwise.  The
-   origin's copy bypasses the network in both cases. *)
+(* Coordinator-record fan-out (Decide / Revoke) to the launch-time
+   participant set (every site under full placement).  The origin's copy
+   bypasses the network. *)
 let fan_coord t ~origin parts msg =
-  match parts with
-  | None ->
-      Squeue.broadcast t.fabric ~src:origin msg;
-      local_receive t ~site:origin msg
-  | Some arr ->
-      let has_origin = ref false in
-      Array.iter
-        (fun dst ->
-          if dst = origin then has_origin := true
-          else Squeue.send t.fabric ~src:origin ~dst msg)
-        arr;
-      if !has_origin then local_receive t ~site:origin msg
+  let has_origin = ref false in
+  Array.iter
+    (fun dst ->
+      if dst = origin then has_origin := true
+      else Squeue.send t.fabric ~src:origin ~dst msg)
+    parts;
+  if !has_origin then local_receive t ~site:origin msg
 
 let create (env : Intf.env) =
+  let durable = Replica_site.create env in
   let rec t =
     lazy
-      (let fabric =
-         Squeue.create ~mode:Squeue.Unordered
-           ~retry_interval:env.Intf.config.Intf.retry_interval
-           ?backoff:env.Intf.config.Intf.retry_backoff
-           ~obs:env.Intf.obs env.Intf.net
-           ~handler:(fun ~site ~src:_ msg -> receive (Lazy.force t) ~site msg)
-       in
-       {
-         env;
-         full = Sharding.is_full env.Intf.sharding;
-         dests = Sharding.Dests.cursor env.Intf.sharding;
-         sequencer = Sequencer.create ();
-         site_issued = Array.make env.Intf.sites 0;
-         prng = Prng.split env.Intf.prng;
-         sites =
-           Array.init env.Intf.sites (fun id ->
-               {
-                 id;
-                 store =
-                   Store.create ~size:env.Intf.store_hint
-                     ~keyspace:env.Intf.keyspace ();
-                 hist = Hist.empty;
-                 last_exec = 0;
-                 buffer = Hashtbl.create 32;
-                 log = [];
-                 counters = Lock_counter.create ~hint:env.Intf.store_hint ();
-                 early = Hashtbl.create 8;
-                 parked_queries = [];
-                 active = [];
-                 completed = [];
-                 saga_held = Hashtbl.create 8;
-                 pending_revokes = Hashtbl.create 8;
-                 ended_sagas = Hashtbl.create 8;
-                 down = false;
-               });
-         fabric;
-         outcomes = Hashtbl.create 32;
-         wal =
-           Recovery.Wal.create ~prof:env.Intf.obs.Esr_obs.Obs.prof
-             ~hint:env.Intf.store_hint ~sites:env.Intf.sites ();
-         decisions = Hashtbl.create 32;
-         deferred_local = [];
-         undecided = 0;
-         next_saga = 0;
-         sagas_active = 0;
-         n_sagas = 0;
-         n_saga_aborts = 0;
-         n_revokes = 0;
-         n_updates = 0;
-         n_queries = 0;
-         n_aborts = 0;
-         n_fast = 0;
-         n_full = 0;
-         n_skips = 0;
-         n_replayed_ops = 0;
-         rollback_depth_total = 0;
-         n_tainted = 0;
-         n_forced = 0;
-         n_query_waits = 0;
-       })
+      {
+        env;
+        dests = Sharding.Dests.cursor env.Intf.sharding;
+        streams = Array.init env.Intf.sites (fun _ -> Sequencer.create ());
+        prng = Prng.split env.Intf.prng;
+        durable;
+        sites =
+          Array.map
+            (fun d ->
+              {
+                d;
+                last_exec = 0;
+                buffer = Hashtbl.create 32;
+                log = [];
+                counters = Lock_counter.create ~hint:env.Intf.store_hint ();
+                early = Hashtbl.create 8;
+                parked_queries = [];
+                active = [];
+                completed = [];
+                saga_held = Hashtbl.create 8;
+                pending_revokes = Hashtbl.create 8;
+                ended_sagas = Hashtbl.create 8;
+              })
+            durable;
+        fabric =
+          Replica_site.fabric env ~mode:Squeue.Unordered (fun ~site ~src:_ msg ->
+              receive (Lazy.force t) ~site msg);
+        outcomes = Hashtbl.create 32;
+        wal =
+          Recovery.Wal.create ~prof:env.Intf.obs.Esr_obs.Obs.prof
+            ~hint:env.Intf.store_hint ~sites:env.Intf.sites ();
+        decisions = Hashtbl.create 32;
+        deferred_local = [];
+        undecided = 0;
+        next_saga = 0;
+        sagas_active = 0;
+        n_sagas = 0;
+        n_saga_aborts = 0;
+        n_revokes = 0;
+        n_updates = 0;
+        n_queries = 0;
+        n_aborts = 0;
+        n_fast = 0;
+        n_full = 0;
+        n_skips = 0;
+        n_replayed_ops = 0;
+        rollback_depth_total = 0;
+        n_tainted = 0;
+        n_forced = 0;
+        n_query_waits = 0;
+      }
   in
   Lazy.force t
 
@@ -568,25 +543,19 @@ let intent_to_op = function
    committed", Sec 4.1). *)
 let launch_step t ~origin ~saga ops ~on_decision =
   let et = t.env.Intf.next_et () in
-  let parts =
-    if t.full then None
-    else begin
-      (* Participants: the union of the touched shards' replica sets
-         (keys interned here so every later lookup agrees on the shard). *)
-      let c = t.dests in
-      Sharding.Dests.reset c;
-      List.iter
-        (fun (key, _) ->
-          Sharding.Dests.add_id c (Keyspace.intern t.env.Intf.keyspace key))
-        ops;
-      let arr = Array.make (Sharding.Dests.count c) 0 in
-      let i = ref 0 in
-      Sharding.Dests.iter c (fun s ->
-          arr.(!i) <- s;
-          incr i);
-      Some arr
-    end
-  in
+  (* Participants: the union of the touched shards' replica sets (keys
+     interned here so every later lookup agrees on the shard). *)
+  let c = t.dests in
+  Sharding.Dests.reset c;
+  List.iter
+    (fun (key, _) ->
+      Sharding.Dests.add_id c (Keyspace.intern t.env.Intf.keyspace key))
+    ops;
+  let parts = Array.make (Sharding.Dests.count c) 0 in
+  let i = ref 0 in
+  Sharding.Dests.iter c (fun s ->
+      parts.(!i) <- s;
+      incr i);
   let trace = t.env.Intf.obs.Esr_obs.Obs.trace in
   if Trace.on trace then
     Trace.emit trace ~time:(Engine.now t.env.engine)
@@ -598,41 +567,28 @@ let launch_step t ~origin ~saga ops ~on_decision =
            keys = List.map fst ops;
          });
   t.undecided <- t.undecided + 1;
-  let prof = t.env.Intf.obs.Esr_obs.Obs.prof in
-  (match parts with
-  | None ->
-      let ticket = Sequencer.next t.sequencer in
-      let mset = { et; ticket; ops; origin; saga } in
-      if Prof.on prof then begin
-        let t0 = Prof.start prof in
-        let a0 = Prof.alloc0 prof in
-        Squeue.broadcast t.fabric ~src:origin (Provisional mset);
-        Prof.record prof ~site:origin Prof.Propagate ~t0 ~a0
-      end
-      else Squeue.broadcast t.fabric ~src:origin (Provisional mset);
-      receive t ~site:origin (Provisional mset)
-  | Some arr ->
-      (* Per-site dense tickets, assigned in one atomic step (ordup.ml). *)
-      let local = ref None in
-      let propagate () =
-        Array.iter
-          (fun dst ->
-            t.site_issued.(dst) <- t.site_issued.(dst) + 1;
-            let m = { et; ticket = t.site_issued.(dst); ops; origin; saga } in
-            if dst = origin then local := Some m
-            else Squeue.send t.fabric ~src:origin ~dst (Provisional m))
-          arr
-      in
-      if Prof.on prof then begin
-        let t0 = Prof.start prof in
-        let a0 = Prof.alloc0 prof in
-        propagate ();
-        Prof.record prof ~site:origin Prof.Propagate ~t0 ~a0
-      end
-      else propagate ();
-      (match !local with
-      | Some m -> receive t ~site:origin (Provisional m)
-      | None -> ()));
+  (* Per-site dense tickets, assigned in one atomic step; destinations
+     whose streams agree share one message (see ordup.ml). *)
+  let local = ref None in
+  let shared = ref no_provisional in
+  let propagate () =
+    Array.iter
+      (fun dst ->
+        let ticket = Sequencer.next t.streams.(dst) in
+        let msg =
+          match !shared with
+          | Provisional m when m.ticket = ticket -> !shared
+          | _ ->
+              let msg = Provisional { et; ticket; ops; origin; saga } in
+              shared := msg;
+              msg
+        in
+        if dst = origin then local := Some msg
+        else Squeue.send t.fabric ~src:origin ~dst msg)
+      parts
+  in
+  Replica_site.timed t.env ~site:origin Prof.Propagate propagate;
+  (match !local with Some msg -> receive t ~site:origin msg | None -> ());
   let config = t.env.Intf.config in
   let d_apply ~commit =
     if not commit then t.n_aborts <- t.n_aborts + 1;
@@ -658,7 +614,7 @@ let launch_step t ~origin ~saga ops ~on_decision =
   (et, parts)
 
 let submit_update t ~origin intents k =
-  if t.sites.(origin).down then k (Intf.Rejected "origin site down")
+  if t.durable.(origin).down then k (Intf.Rejected "origin site down")
   else if intents = [] then k (Intf.Rejected "empty update ET")
   else begin
     t.n_updates <- t.n_updates + 1;
@@ -679,7 +635,7 @@ let submit_update t ~origin intents k =
    If a step's global decision is an abort, every previously committed
    step is revoked (compensated) in reverse order and the saga fails. *)
 let submit_saga t ~origin steps k =
-  if t.sites.(origin).down then k (Intf.Rejected "origin site down")
+  if t.durable.(origin).down then k (Intf.Rejected "origin site down")
   else if steps = [] || List.exists (fun intents -> intents = []) steps then
     k (Intf.Rejected "saga with an empty step")
   else begin
@@ -695,29 +651,20 @@ let submit_saga t ~origin steps k =
       | [] ->
           (* All steps committed: release the deferred counters at every
              site that executed a step. *)
-          (if t.full then begin
-             Squeue.broadcast t.fabric ~src:origin (Saga_end { sid });
-             local_receive t ~site:origin (Saga_end { sid })
-           end
-           else begin
-             let seen = Array.make t.env.Intf.sites false in
-             List.iter
-               (fun (_, parts) ->
-                 match parts with
-                 | Some arr -> Array.iter (fun s -> seen.(s) <- true) arr
-                 | None -> ())
-               committed;
-             for dst = 0 to t.env.Intf.sites - 1 do
-               if seen.(dst) && dst <> origin then
-                 Squeue.send t.fabric ~src:origin ~dst (Saga_end { sid })
-             done;
-             if seen.(origin) then local_receive t ~site:origin (Saga_end { sid })
-           end);
+          let seen = Array.make t.env.Intf.sites false in
+          List.iter
+            (fun (_, parts) -> Array.iter (fun s -> seen.(s) <- true) parts)
+            committed;
+          for dst = 0 to t.env.Intf.sites - 1 do
+            if seen.(dst) && dst <> origin then
+              Squeue.send t.fabric ~src:origin ~dst (Saga_end { sid })
+          done;
+          if seen.(origin) then local_receive t ~site:origin (Saga_end { sid });
           finish (Intf.Committed { committed_at = Engine.now t.env.engine })
       | intents :: rest ->
           t.n_updates <- t.n_updates + 1;
           let ops = List.map intent_to_op intents in
-          let step_parts = ref None in
+          let step_parts = ref [||] in
           let _, parts =
             launch_step t ~origin ~saga:(Some sid) ops
               ~on_decision:(fun ~et ~commit ->
@@ -758,10 +705,10 @@ let submit_query t ~site:site_id ~keys ~epsilon k =
         served_at = Engine.now t.env.engine;
       }
   in
-  if site.down then
+  if site.d.down then
     (* Graceful failure: a crashed site answers from its last image,
        flagged degraded. *)
-    degraded (List.map (fun key -> (key, Store.get site.store key)) keys)
+    degraded (List.map (fun key -> (key, Store.get site.d.store key)) keys)
   else begin
   let aq =
     {
@@ -788,8 +735,8 @@ let submit_query t ~site:site_id ~keys ~epsilon k =
         let snapshot =
           List.map
             (fun key ->
-              log_action site ~et ~key Op.Read;
-              (key, Store.get site.store key))
+              Replica_site.log_action site.d ~et ~key Op.Read;
+              (key, Store.get site.d.store key))
             keys
         in
         site.active <- List.filter (fun a -> a != aq) site.active;
@@ -814,7 +761,7 @@ let submit_query t ~site:site_id ~keys ~epsilon k =
             fail =
               (fun () ->
                 fail_degraded
-                  (List.map (fun key -> (key, Store.get site.store key)) keys));
+                  (List.map (fun key -> (key, Store.get site.d.store key)) keys));
           }
           :: site.parked_queries
       end
@@ -847,16 +794,15 @@ let submit_query t ~site:site_id ~keys ~epsilon k =
         let pending = Lock_counter.count site.counters key in
         let admissible = pending = 0 || Epsilon.try_charge eps pending in
         if admissible then begin
-          log_action site ~et ~key Op.Read;
+          Replica_site.log_action site.d ~et ~key Op.Read;
           aq.aq_observed <-
             List.sort_uniq Int.compare (undecided_on site key @ aq.aq_observed);
-          values := (key, Store.get site.store key) :: !values;
+          values := (key, Store.get site.d.store key) :: !values;
           if rest = [] then step []
           else
             ignore
-              (Engine.schedule t.env.engine
-                 ~delay:t.env.Intf.config.Intf.query_step_delay (fun () ->
-                   step rest))
+              (Engine.schedule t.env.engine ~delay:Replica_site.query_step_delay
+                 (fun () -> step rest))
         end
         else begin
           waited := true;
@@ -876,55 +822,49 @@ let flush _ = ()
 
 let on_crash t ~site:site_id =
   let site = t.sites.(site_id) in
-  if not site.down then begin
-    site.down <- true;
-    (* Durable: [hist], the undo/redo journal ([site.log]), the
-       lock-counters and decision-bookkeeping tables (early / revokes /
-       saga holds) — all coordinator-log state.  Volatile: the order
-       buffer (receipt-journaled in [t.wal]), wait contexts, and the
-       store image. *)
-    let buffered = Hashtbl.length site.buffer in
-    Hashtbl.reset site.buffer;
-    let parked = site.parked_queries in
-    site.parked_queries <- [];
-    List.iter (fun p -> p.fail ()) parked;
-    let killed = List.length site.active in
-    List.iter (fun aq -> aq.aq_killed <- true) site.active;
-    site.active <- [];
-    (* The crashed site was the coordinator of its undecided update ETs:
-       presumed abort.  The abort records reach the remotes through the
-       stable queue (now, if reachable) and this site at replay time. *)
-    let orphaned =
-      Hashtbl.fold
-        (fun et d acc ->
-          if d.d_origin = site_id && not d.d_done then (et, d) :: acc else acc)
-        t.decisions []
-      |> List.sort (fun (a, _) (b, _) -> compare a b)
-    in
-    List.iter
-      (fun (et, d) ->
-        d.d_done <- true;
-        Hashtbl.remove t.decisions et;
-        d.d_apply ~commit:false)
-      orphaned;
-    Recovery.emit_volatile_dropped ~obs:t.env.Intf.obs ~engine:t.env.Intf.engine
-      ~site:site_id ~buffered
-      ~queries_failed:(List.length parked + killed)
-      ~updates_rejected:(List.length orphaned) ~log:(Hist.length site.hist)
-  end
+  Replica_site.crash t.env site.d (fun () ->
+      (* Durable: the log, the undo/redo journal ([site.log]), the
+         lock-counters and decision-bookkeeping tables (early / revokes /
+         saga holds) — all coordinator-log state.  Volatile: the order
+         buffer (receipt-journaled in [t.wal]), wait contexts, and the
+         store image. *)
+      let buffered = Hashtbl.length site.buffer in
+      Hashtbl.reset site.buffer;
+      let parked = site.parked_queries in
+      site.parked_queries <- [];
+      List.iter (fun p -> p.fail ()) parked;
+      let killed = List.length site.active in
+      List.iter (fun aq -> aq.aq_killed <- true) site.active;
+      site.active <- [];
+      (* The crashed site was the coordinator of its undecided update ETs:
+         presumed abort.  The abort records reach the remotes through the
+         stable queue (now, if reachable) and this site at replay time. *)
+      let orphaned =
+        Hashtbl.fold
+          (fun et d acc ->
+            if d.d_origin = site_id && not d.d_done then (et, d) :: acc else acc)
+          t.decisions []
+        |> List.sort (fun (a, _) (b, _) -> compare a b)
+      in
+      List.iter
+        (fun (et, d) ->
+          d.d_done <- true;
+          Hashtbl.remove t.decisions et;
+          d.d_apply ~commit:false)
+        orphaned;
+      {
+        Replica_site.buffered;
+        queries_failed = List.length parked + killed;
+        updates_rejected = List.length orphaned;
+      })
 
 let on_recover t ~site:site_id =
   let site = t.sites.(site_id) in
-  if site.down then begin
-    site.down <- false;
-    (* Rebuild the store image from the durable log (every mutation —
-       provisional applies, compensations, rollback repairs — is logged,
-       so the replay lands exactly on the pre-crash image the journal's
-       before-image chains describe)... *)
-    site.store <-
-      Recovery.replay_site ?ckpt:t.env.Intf.checkpoint
-        ~keyspace:t.env.Intf.keyspace ~size:t.env.Intf.store_hint
-        ~obs:t.env.Intf.obs ~engine:t.env.Intf.engine ~site:site_id site.hist;
+  (* The store image is rebuilt from the durable log (every mutation —
+     provisional applies, compensations, rollback repairs — is logged, so
+     the replay lands exactly on the pre-crash image the journal's
+     before-image chains describe)... *)
+  if Replica_site.recover t.env site.d then begin
     (* ...re-ingest journaled-but-unexecuted provisional MSets... *)
     List.iter
       (fun mset -> Hashtbl.replace site.buffer mset.ticket mset)
@@ -940,36 +880,27 @@ let on_recover t ~site:site_id =
     wake_queries site
   end
 
-let checkpoint t ~site:site_id =
-  match t.env.Intf.checkpoint with
-  | None -> ()
-  | Some c ->
-      let site = t.sites.(site_id) in
-      if not site.down then begin
-        let dedup = Squeue.gc_site t.fabric ~site:site_id in
-        (* The Time Warp undo/redo journal is reclaimable behind the
-           oldest undecided entry: a full rollback only ever rewinds from
-           an undecided entry forward, so decided entries older than every
-           undecided one can never be rewound again.  In the newest-first
-           list that is the maximal all-decided suffix.  After pruning,
-           the before-image chains describe mutations since the cut; the
-           checkpoint image anchors them. *)
-        let keep, prunable =
-          let rec split = function
-            | [] -> ([], [])
-            | e :: rest ->
-                let keep, prunable = split rest in
-                if keep = [] && e.e_decided then ([], e :: prunable)
-                else (e :: keep, prunable)
-          in
-          split site.log
-        in
-        site.log <- keep;
-        let reclaimed = dedup + List.length prunable in
-        site.hist <-
-          Checkpoint.cut c ~engine:t.env.Intf.engine ~site:site_id
-            ~store:site.store ~hist:site.hist ~reclaimed ()
-      end
+(* The Time Warp undo/redo journal is reclaimable behind the oldest
+   undecided entry: a full rollback only ever rewinds from an undecided
+   entry forward, so decided entries older than every undecided one can
+   never be rewound again.  In the newest-first list that is the maximal
+   all-decided suffix.  After pruning, the before-image chains describe
+   mutations since the cut; the checkpoint image anchors them. *)
+let prune_log site () =
+  let rec split = function
+    | [] -> ([], [])
+    | e :: rest ->
+        let keep, prunable = split rest in
+        if keep = [] && e.e_decided then ([], e :: prunable)
+        else (e :: keep, prunable)
+  in
+  let keep, prunable = split site.log in
+  site.log <- keep;
+  List.length prunable
+
+let checkpoint t ~site =
+  let site = t.sites.(site) in
+  Replica_site.checkpoint ~reclaim:(prune_log site) t.env site.d t.fabric
 
 let quiescent t =
   t.undecided = 0 && t.sagas_active = 0 && t.deferred_local = []
@@ -991,7 +922,7 @@ let backlog t =
     (t.undecided + t.sagas_active + List.length t.deferred_local)
     t.sites
 
-let store t ~site = t.sites.(site).store
+let sites t = t.durable
 
 (* Introspection for tests: the site's remaining log entries (oldest
    first).  Invariant: folding the entries' operations over an empty
@@ -1001,15 +932,8 @@ let store t ~site = t.sites.(site).store
 let log_entries t ~site =
   List.rev_map (fun e -> (e.e_et, e.e_decided, e.e_ops)) t.sites.(site).log
 let mvstore _ ~site:_ = None
-let history t ~site = t.sites.(site).hist
 
-let converged t =
-  if t.full then
-    let reference = t.sites.(0).store in
-    Array.for_all (fun site -> Store.equal site.store reference) t.sites
-  else
-    Sharding.converged t.env.Intf.sharding ~keyspace:t.env.Intf.keyspace
-      ~store:(fun site -> t.sites.(site).store)
+let converged t = Replica_site.converged t.env t.durable
 
 let stats t =
   [
@@ -1029,15 +953,5 @@ let stats t =
     ("revokes", float_of_int t.n_revokes);
   ]
 
-let resources t ~site:site_id =
-  let site = t.sites.(site_id) in
-  {
-    Intf.log_entries = Hist.length site.hist;
-    log_bytes = Hist.approx_bytes site.hist;
-    wal_entries = Recovery.Wal.size t.wal ~site:site_id;
-    wal_appended = Recovery.Wal.appended t.wal ~site:site_id;
-    wal_high_water = Recovery.Wal.high_water t.wal ~site:site_id;
-    journal_depth = Squeue.journal_depth t.fabric ~site:site_id;
-    journal_enqueued = Squeue.journaled t.fabric ~site:site_id;
-    store_words = Store.live_words site.store;
-  }
+let resources t ~site =
+  Replica_site.resources ~wal:t.wal t.durable.(site) t.fabric

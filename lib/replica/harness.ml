@@ -55,11 +55,6 @@ let create ?(config = Intf.default_config) ?net_config ?(seed = 42)
   in
   let sharding = env.Intf.sharding in
   let keyspace = env.Intf.keyspace in
-  (* Probes below only consult the shard map when replication is partial:
-     under full replication the literal historical comparisons run, so
-     every gauge and series value is byte-identical to the unsharded
-     build. *)
-  let full = Sharding.is_full sharding in
   Engine.set_prof engine obs.Obs.prof;
   let m = obs.Obs.metrics in
   let g name f = Metrics.gauge_fn m ~group:"engine" name f in
@@ -68,6 +63,10 @@ let create ?(config = Intf.default_config) ?net_config ?(seed = 42)
   g "cancelled" (fun () -> float_of_int (Engine.cancelled engine));
   g "pending" (fun () -> float_of_int (Engine.pending engine));
   let system = Registry.make ~name:method_name env in
+  (* The methods' durable site halves: the probes below read stores
+     straight from them. *)
+  let replicas = Intf.boxed_sites system in
+  let store site = replicas.(site).Intf.store in
   let t =
     {
       engine;
@@ -136,19 +135,7 @@ let create ?(config = Intf.default_config) ?net_config ?(seed = 42)
         cg "max_tail" Checkpoint.max_tail
       done);
   Metrics.gauge_fn m ~group:"harness" "divergent_sites" (fun () ->
-      if full then begin
-        let s0 = Intf.boxed_store t.system ~site:0 in
-        let n = ref 0 in
-        for site = 1 to sites - 1 do
-          if not (Intf.Store.equal s0 (Intf.boxed_store t.system ~site)) then
-            incr n
-        done;
-        float_of_int !n
-      end
-      else
-        float_of_int
-          (Sharding.divergent_replicas sharding ~keyspace ~store:(fun site ->
-               Intf.boxed_store t.system ~site)));
+      float_of_int (Sharding.divergent_replicas sharding ~keyspace ~store));
   let series = obs.Obs.series in
   if Series.on series then begin
     (* Derived ESR probes (the ["esr/"] prefix is what the report charts
@@ -159,54 +146,37 @@ let create ?(config = Intf.default_config) ?net_config ?(seed = 42)
       | Value.Int x, Value.Int y -> float_of_int (abs (x - y))
       | a, b -> if Value.equal a b then 0.0 else 1.0
     in
-    (* Per-key replica spread: for each key anywhere in the system, the
-       largest pairwise distance between copies at the sites replicating
-       that key's shard (max - min for integer domains).  Under full
-       replication every site replicates every shard, so the pair set is
-       the historical all-pairs loop. *)
+    (* Per-key replica spread: for each key present at some site, in key
+       id order, the largest pairwise distance between copies at the
+       sites replicating that key's shard (max - min for integer
+       domains).  Under full placement every site replicates every
+       shard. *)
     let spread_stats () =
-      let keys = Hashtbl.create 64 in
-      for site = 0 to sites - 1 do
-        List.iter
-          (fun k -> Hashtbl.replace keys k ())
-          (Intf.Store.keys (Intf.boxed_store t.system ~site))
-      done;
       let n_keys = ref 0 and divergent = ref 0 in
       let s_max = ref 0.0 and s_sum = ref 0.0 in
-      Hashtbl.iter
-        (fun k () ->
+      for id = 0 to Esr_store.Keyspace.size keyspace - 1 do
+        let present = ref false and site = ref 0 in
+        while (not !present) && !site < sites do
+          present := Intf.Store.mem_id (store !site) id;
+          incr site
+        done;
+        if !present then begin
           incr n_keys;
+          let reps = Sharding.replicas sharding (Sharding.shard_of_id sharding id) in
+          let n = Array.length reps in
           let spread = ref 0.0 in
-          (if full then
-             for a = 0 to sites - 1 do
-               for b = a + 1 to sites - 1 do
-                 let va = Intf.Store.get (Intf.boxed_store t.system ~site:a) k in
-                 let vb = Intf.Store.get (Intf.boxed_store t.system ~site:b) k in
-                 spread := Float.max !spread (vdist va vb)
-               done
-             done
-           else begin
-             let reps =
-               Sharding.replicas sharding
-                 (Sharding.shard_of_id sharding (Esr_store.Keyspace.find keyspace k))
-             in
-             let n = Array.length reps in
-             for a = 0 to n - 1 do
-               for b = a + 1 to n - 1 do
-                 let va =
-                   Intf.Store.get (Intf.boxed_store t.system ~site:reps.(a)) k
-                 in
-                 let vb =
-                   Intf.Store.get (Intf.boxed_store t.system ~site:reps.(b)) k
-                 in
-                 spread := Float.max !spread (vdist va vb)
-               done
-             done
-           end);
+          for a = 0 to n - 1 do
+            for b = a + 1 to n - 1 do
+              let va = Intf.Store.get_id (store reps.(a)) id in
+              let vb = Intf.Store.get_id (store reps.(b)) id in
+              spread := Float.max !spread (vdist va vb)
+            done
+          done;
           if !spread > 0.0 then incr divergent;
           s_max := Float.max !s_max !spread;
-          s_sum := !s_sum +. !spread)
-        keys;
+          s_sum := !s_sum +. !spread
+        end
+      done;
       let mean = if !n_keys = 0 then 0.0 else !s_sum /. float_of_int !n_keys in
       (!s_max, mean, !divergent)
     in
@@ -233,21 +203,7 @@ let create ?(config = Intf.default_config) ?net_config ?(seed = 42)
     let last_equal = ref 0.0 in
     Series.probe series ~name:"esr/conv_lag" (fun () ->
         let t_now = Engine.now engine in
-        let equal = ref true in
-        (if full then begin
-           let s0 = Intf.boxed_store t.system ~site:0 in
-           for site = 1 to sites - 1 do
-             if
-               !equal
-               && not (Intf.Store.equal s0 (Intf.boxed_store t.system ~site))
-             then equal := false
-           done
-         end
-         else
-           equal :=
-             Sharding.converged sharding ~keyspace ~store:(fun site ->
-                 Intf.boxed_store t.system ~site));
-        if !equal then begin
+        if Sharding.converged sharding ~keyspace ~store then begin
           last_equal := t_now;
           0.0
         end
@@ -487,8 +443,8 @@ let submit_query t ~site ~keys ~epsilon k =
              });
       k outcome)
 
-let store t ~site = Intf.boxed_store t.system ~site
-let history t ~site = Intf.boxed_history t.system ~site
+let store t ~site = (Intf.boxed_sites t.system).(site).Intf.store
+let history t ~site = (Intf.boxed_sites t.system).(site).Intf.hist
 
 let stats t = Metrics.snapshot t.obs.Obs.metrics
 

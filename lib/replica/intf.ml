@@ -86,6 +86,17 @@ let no_resources =
     store_words = 0;
   }
 
+(** The durable half of one replica site, shared by every method (the
+    paper's "local message processing"); {!Replica_site} owns its
+    lifecycle.  [store] is the volatile image of [hist], rebuilt from it
+    at recovery. *)
+type site = {
+  id : int;
+  mutable store : Store.t;
+  mutable hist : Hist.t;  (** the durable operation log *)
+  mutable down : bool;
+}
+
 (** Family and Table 1 characteristics of a method. *)
 type family = Forward | Backward | Synchronous
 
@@ -117,15 +128,11 @@ type config = {
       (** chance the global transaction aborts after optimistic apply *)
   compe_decision_delay : float;
       (** virtual ms between optimistic apply and global commit/abort *)
-  retry_interval : float;  (** stable-queue retransmission period *)
   retry_backoff : Esr_squeue.Squeue.backoff option;
       (** exponential-backoff policy for stable-queue retransmission;
           [None] keeps the historical fixed interval (fault-aware runs
           install {!Esr_squeue.Squeue.default_backoff} so long outages do
           not storm the links) *)
-  query_step_delay : float;
-      (** virtual ms between successive reads of a multi-key query
-          (lets update MSets interleave with the query) *)
   quorum_reads : int option;  (** read quorum; default majority *)
   quorum_writes : int option;  (** write quorum; default majority *)
   twopc_timeout : float;
@@ -147,9 +154,7 @@ let default_config =
     commu_limit_policy = `Wait;
     compe_abort_probability = 0.0;
     compe_decision_delay = 100.0;
-    retry_interval = 50.0;
     retry_backoff = None;
-    query_step_delay = 1.0;
     quorum_reads = None;
     quorum_writes = None;
     twopc_timeout = 2_000.0;
@@ -257,6 +262,9 @@ module type S = sig
       [quiescent t] implies [backlog t = 0].  Sampled by the
       observability series as [esr/method_backlog]. *)
 
+  (* The four lifecycle hooks below run through {!Replica_site}; a
+     method adds only its protocol steps (DESIGN.md §14). *)
+
   val on_crash : t -> site:int -> unit
   (** The site's volatile state is gone: order buffers and provisional
       applies are dropped, parked/active queries at the site fail with a
@@ -269,40 +277,40 @@ module type S = sig
 
   val on_recover : t -> site:int -> unit
   (** Crash recovery: rebuild the site's image by replaying its durable
-      operation log (traced as [Recovery_replay]), then resume normal
-      processing — the stable-queue backlog redelivers everything that
-      was not acknowledged before or during the outage.  When the run
-      checkpoints ([env.checkpoint]), replay starts from a copy of the
-      site's newest snapshot and folds only the log tail.  Idempotent. *)
+      operation log ({!Replica_site.recover}: checkpoint + tail when the
+      run checkpoints), re-ingest journaled protocol state, then resume —
+      the stable-queue backlog redelivers everything that was not
+      acknowledged before or during the outage.  Idempotent. *)
 
   val checkpoint : t -> site:int -> unit
-  (** Take an asynchronous checkpoint cut at [site] (see
-      {!Checkpoint.cut}): snapshot the site image, truncate the durable
-      log behind the cut, and garbage-collect whatever journal records
-      the method declares reclaimable (stable-queue dedup records behind
-      the delivery watermark; COMPE additionally prunes decided undo-log
-      entries).  No-op when [env.checkpoint] is [None] or the site is
-      down — a crashed site's next cut happens after it has recovered. *)
+  (** Take an asynchronous checkpoint cut at [site]
+      ({!Replica_site.checkpoint}): snapshot the image, truncate the log
+      behind the cut, and reclaim the stable-queue dedup records behind
+      the delivery watermark plus whatever the method's own journals free
+      (COMPE prunes decided undo-log entries).  No-op when
+      [env.checkpoint] is [None] or the site is down. *)
 
-  val store : t -> site:int -> Store.t
-  (** Site-local single-version state, for convergence checks. *)
+  val sites : t -> site array
+  (** Every site's durable half, indexed by site id: the single-version
+      store the convergence checks read and the operation log the ESR
+      checker reads. *)
 
   val mvstore : t -> site:int -> Mvstore.t option
   (** RITU-multiversion state when the method keeps one. *)
 
-  val history : t -> site:int -> Hist.t
-  (** The operation log the site actually executed, for the ESR checker. *)
-
   val converged : t -> bool
-  (** All replicas hold equal state. *)
+  (** All replicas hold equal state on the keys they replicate
+      ({!Replica_site.converged}, plus RITU's version lists; QUASI
+      compares each quasi-copy with the primary). *)
 
   val stats : t -> (string * float) list
   (** Method-specific counters for the experiment tables. *)
 
   val resources : t -> site:int -> resources
-  (** The site's durable/volatile footprint right now.  Pure reads;
-      sampled by the [res/] series probes and the group ["res"] gauges.
-      Methods without a receipt journal report zero WAL fields. *)
+  (** The site's durable/volatile footprint right now
+      ({!Replica_site.resources}).  Pure reads; sampled by the [res/]
+      series probes and the group ["res"] gauges.  Methods without a
+      receipt journal report zero WAL fields. *)
 end
 
 type boxed = B : (module S with type t = 'a) * 'a -> boxed
@@ -315,9 +323,8 @@ let boxed_on_crash (B ((module M), sys)) ~site = M.on_crash sys ~site
 let boxed_on_recover (B ((module M), sys)) ~site = M.on_recover sys ~site
 let boxed_checkpoint (B ((module M), sys)) ~site = M.checkpoint sys ~site
 let boxed_converged (B ((module M), sys)) = M.converged sys
-let boxed_store (B ((module M), sys)) ~site = M.store sys ~site
+let boxed_sites (B ((module M), sys)) = M.sites sys
 let boxed_mvstore (B ((module M), sys)) ~site = M.mvstore sys ~site
-let boxed_history (B ((module M), sys)) ~site = M.history sys ~site
 let boxed_stats (B ((module M), sys)) = M.stats sys
 let boxed_resources (B ((module M), sys)) ~site = M.resources sys ~site
 

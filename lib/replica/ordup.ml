@@ -12,17 +12,15 @@
     global order".
 
     Two ordering sources (ablation A1):
-    - [`Sequencer]: a central order server issues dense tickets; a replica
-      can execute ticket [t+1] the moment it arrives.
+    - [`Sequencer]: an order server hands each replica a dense ticket
+      stream; a replica can execute ticket [t+1] the moment it arrives.
     - [`Lamport]: decentralized timestamps; a replica may execute an MSet
       only once per-origin watermarks prove no earlier-stamped MSet can
       still arrive (the delivery-order cost the paper warns about). *)
 
 module Op = Esr_store.Op
-module Value = Esr_store.Value
 module Store = Esr_store.Store
 module Sharding = Esr_store.Sharding
-module Hist = Esr_core.Hist
 module Et = Esr_core.Et
 module Epsilon = Esr_core.Epsilon
 module Gtime = Esr_clock.Gtime
@@ -57,6 +55,11 @@ type mset = {
 
 type msg = Update of mset | Watermark of Gtime.t
 
+(* No stream hands out ticket 0: the empty value of a submission's shared
+   message (see [submit_update]). *)
+let no_update =
+  Update { et = 0; order = Ticket 0; ops = []; origin = 0; commit_site = 0 }
+
 type active_query = {
   aq_order : order;
   aq_keys : string list;
@@ -72,9 +75,7 @@ type parked_query = {
 }
 
 type site = {
-  id : int;
-  mutable store : Store.t;  (* volatile image; rebuilt from [hist] on recovery *)
-  mutable hist : Hist.t;  (* the durable log *)
+  d : Replica_site.t;  (* the durable half: id, store, log, down flag *)
   (* sequencer mode *)
   mutable last_exec : int;
   seq_buffer : (int, mset) Hashtbl.t;
@@ -84,20 +85,18 @@ type site = {
   watermarks : Gtime.t array;
   mutable active : active_query list;
   mutable parked : parked_query list;
-  mutable down : bool;
 }
 
 type t = {
   env : Intf.env;
   mode : [ `Sequencer | `Lamport ];
-  full : bool;  (* replication factor = sites: historical broadcast path *)
   dests : Sharding.Dests.t;  (* reusable routing cursor (submit path) *)
-  sequencer : Sequencer.t;
-  site_issued : int array;
-      (* sequencer mode under partial replication: per-site dense ticket
-         streams (a site executes ITS OWN stream gap-free; cross-site
-         order is inherited from submission order, which assigns every
-         interested site its next ticket atomically) *)
+  streams : Sequencer.t array;
+      (* sequencer mode: the order server's per-site dense ticket streams
+         (a site executes ITS OWN stream gap-free; cross-site order is
+         inherited from submission order, which assigns every interested
+         site its next ticket atomically) *)
+  durable : Replica_site.t array;
   sites : site array;
   fabric : msg Squeue.t;
   (* origin site and commit callback; the callback is volatile origin-side
@@ -121,9 +120,6 @@ let meta =
 
 (* --- execution at a site --- *)
 
-let log_action site ~et ~key op =
-  site.hist <- Hist.append site.hist (Et.action ~et ~key op)
-
 let apply_mset_inner t site mset =
   let trace = t.env.Intf.obs.Esr_obs.Obs.trace in
   if Trace.on trace then
@@ -131,7 +127,7 @@ let apply_mset_inner t site mset =
       (Trace.Mset_applied
          {
            et = mset.et;
-           site = site.id;
+           site = site.d.id;
            n_ops = List.length mset.ops;
            order = (match mset.order with Ticket n -> Some n | Stamp _ -> None);
          });
@@ -139,12 +135,9 @@ let apply_mset_inner t site mset =
     (fun (i : Intf.iop) ->
       (* Union routing delivers the whole MSet to every interested site;
          each site materializes only the shards it replicates. *)
-      if
-        t.full
-        || Sharding.replicates_id t.env.Intf.sharding ~site:site.id
-             ~id:i.Intf.id
+      if Sharding.replicates_id t.env.Intf.sharding ~site:site.d.id ~id:i.Intf.id
       then begin
-        (match Store.apply_id_unit site.store i.Intf.id i.Intf.op with
+        (match Store.apply_id_unit site.d.store i.Intf.id i.Intf.op with
         | Ok () -> ()
         | Error _ ->
             (* ORDUP imposes no operation restriction; type errors are a
@@ -152,7 +145,7 @@ let apply_mset_inner t site mset =
             invalid_arg
               (Printf.sprintf "ORDUP: op %s failed on %s"
                  (Op.to_string i.Intf.op) i.Intf.key));
-        log_action site ~et:mset.et ~key:i.Intf.key i.Intf.op
+        Replica_site.log_action site.d ~et:mset.et ~key:i.Intf.key i.Intf.op
       end)
     mset.ops;
   (* Charge active queries that this update interleaves: it executes after
@@ -170,22 +163,20 @@ let apply_mset_inner t site mset =
           t.n_charged_units <- t.n_charged_units + 1
         else aq.aq_failed <- true)
     site.active;
-  Recovery.Wal.consume t.wal ~site:site.id ~key:mset.et;
-  if mset.commit_site = site.id then
+  Recovery.Wal.consume t.wal ~site:site.d.id ~key:mset.et;
+  if mset.commit_site = site.d.id then
     match Hashtbl.find_opt t.pending_commits mset.et with
     | Some (_, k) ->
         Hashtbl.remove t.pending_commits mset.et;
         k (Intf.Committed { committed_at = Engine.now t.env.engine })
     | None -> ()
 
+(* The thunk is built only while profiling: the unprofiled apply path
+   stays allocation-free. *)
 let apply_mset t site mset =
-  let prof = t.env.Intf.obs.Esr_obs.Obs.prof in
-  if Prof.on prof then begin
-    let t0 = Prof.start prof in
-    let a0 = Prof.alloc0 prof in
-    apply_mset_inner t site mset;
-    Prof.record prof ~site:site.id Prof.Apply ~t0 ~a0
-  end
+  if Prof.on t.env.Intf.obs.Esr_obs.Obs.prof then
+    Replica_site.timed t.env ~site:site.d.id Prof.Apply (fun () ->
+        apply_mset_inner t site mset)
   else apply_mset_inner t site mset
 
 let order_reached site = function
@@ -236,8 +227,8 @@ let update_watermark site ~origin ts =
   (* The site's own watermark follows its clock: its next stamp will be
      strictly larger than the current peek. *)
   Gtime.witness site.clock ts;
-  site.watermarks.(site.id) <-
-    Gtime.make ~counter:(Lamport.peek site.clock) ~site:site.id
+  site.watermarks.(site.d.id) <-
+    Gtime.make ~counter:(Lamport.peek site.clock) ~site:site.d.id
 
 let insert_sorted mset buffer =
   let stamp m =
@@ -276,49 +267,41 @@ let receive t ~site:site_id msg =
 (* --- public interface --- *)
 
 let create (env : Intf.env) =
+  let durable = Replica_site.create env in
   let rec t =
     lazy
-      (let fabric =
-         Squeue.create ~mode:Squeue.Fifo
-           ~retry_interval:env.Intf.config.Intf.retry_interval
-           ?backoff:env.Intf.config.Intf.retry_backoff
-           ~obs:env.Intf.obs env.Intf.net
-           ~handler:(fun ~site ~src:_ msg -> receive (Lazy.force t) ~site msg)
-       in
-       {
-         env;
-         mode = env.Intf.config.Intf.ordup_ordering;
-         full = Sharding.is_full env.Intf.sharding;
-         dests = Sharding.Dests.cursor env.Intf.sharding;
-         sequencer = Sequencer.create ();
-         site_issued = Array.make env.Intf.sites 0;
-         sites =
-           Array.init env.Intf.sites (fun id ->
-               {
-                 id;
-                 store =
-                   Store.create ~size:env.Intf.store_hint
-                     ~keyspace:env.Intf.keyspace ();
-                 hist = Hist.empty;
-                 last_exec = 0;
-                 seq_buffer = Hashtbl.create 32;
-                 clock = Lamport.create ();
-                 lam_buffer = [];
-                 watermarks = Array.make env.Intf.sites Gtime.zero;
-                 active = [];
-                 parked = [];
-                 down = false;
-               });
-         fabric;
-         pending_commits = Hashtbl.create 32;
-         wal =
-           Recovery.Wal.create ~prof:env.Intf.obs.Esr_obs.Obs.prof
-             ~hint:env.Intf.store_hint ~sites:env.Intf.sites ();
-         n_fallbacks = 0;
-         n_charged_units = 0;
-         n_updates = 0;
-         n_queries = 0;
-       })
+      {
+        env;
+        mode = env.Intf.config.Intf.ordup_ordering;
+        dests = Sharding.Dests.cursor env.Intf.sharding;
+        streams = Array.init env.Intf.sites (fun _ -> Sequencer.create ());
+        durable;
+        sites =
+          Array.map
+            (fun d ->
+              {
+                d;
+                last_exec = 0;
+                seq_buffer = Hashtbl.create 32;
+                clock = Lamport.create ();
+                lam_buffer = [];
+                watermarks = Array.make env.Intf.sites Gtime.zero;
+                active = [];
+                parked = [];
+              })
+            durable;
+        fabric =
+          Replica_site.fabric env ~mode:Squeue.Fifo (fun ~site ~src:_ msg ->
+              receive (Lazy.force t) ~site msg);
+        pending_commits = Hashtbl.create 32;
+        wal =
+          Recovery.Wal.create ~prof:env.Intf.obs.Esr_obs.Obs.prof
+            ~hint:env.Intf.store_hint ~sites:env.Intf.sites ();
+        n_fallbacks = 0;
+        n_charged_units = 0;
+        n_updates = 0;
+        n_queries = 0;
+      }
   in
   Lazy.force t
 
@@ -332,119 +315,82 @@ let intent_to_op env intent =
   { Intf.id = Esr_store.Keyspace.intern env.Intf.keyspace key; key; op }
 
 let submit_update t ~origin intents k =
-  if t.sites.(origin).down then k (Intf.Rejected "origin site down")
+  if t.durable.(origin).down then k (Intf.Rejected "origin site down")
   else if intents = [] then k (Intf.Rejected "empty update ET")
   else begin
     t.n_updates <- t.n_updates + 1;
     let et = t.env.Intf.next_et () in
     let ops = List.map (intent_to_op t.env) intents in
     let site = t.sites.(origin) in
-    if t.full then begin
-      let order =
-        match t.mode with
-        | `Sequencer -> Ticket (Sequencer.next t.sequencer)
-        | `Lamport -> Stamp (Gtime.next site.clock ~site:origin)
-      in
-      let mset = { et; order; ops; origin; commit_site = origin } in
-      let trace = t.env.Intf.obs.Esr_obs.Obs.trace in
-      if Trace.on trace then
-        Trace.emit trace ~time:(Engine.now t.env.engine)
-          (Trace.Mset_enqueued
-             {
-               et;
-               origin;
-               n_ops = List.length ops;
-               keys = List.map (fun (i : Intf.iop) -> i.Intf.key) ops;
-             });
-      Hashtbl.replace t.pending_commits et (origin, k);
-      (* Remote replicas get the MSet through the stable queues; the origin
-         buffers it directly (local enqueue is not subject to the network). *)
-      let prof = t.env.Intf.obs.Esr_obs.Obs.prof in
-      if Prof.on prof then begin
-        let t0 = Prof.start prof in
-        let a0 = Prof.alloc0 prof in
-        Squeue.broadcast t.fabric ~src:origin (Update mset);
-        Prof.record prof ~site:origin Prof.Propagate ~t0 ~a0
+    let c = t.dests in
+    Sharding.Dests.reset c;
+    List.iter (fun (i : Intf.iop) -> Sharding.Dests.add_id c i.Intf.id) ops;
+    let commit_site =
+      if Sharding.Dests.mem c origin then origin
+      else begin
+        let first = ref (-1) in
+        Sharding.Dests.iter c (fun s -> if !first < 0 then first := s);
+        !first
       end
-      else Squeue.broadcast t.fabric ~src:origin (Update mset);
-      receive t ~site:origin (Update mset)
-    end
-    else begin
-      let c = t.dests in
-      Sharding.Dests.reset c;
-      List.iter (fun (i : Intf.iop) -> Sharding.Dests.add_id c i.Intf.id) ops;
-      let commit_site =
-        if Sharding.Dests.mem c origin then origin
-        else begin
-          let first = ref (-1) in
-          Sharding.Dests.iter c (fun s -> if !first < 0 then first := s);
-          !first
-        end
-      in
-      let trace = t.env.Intf.obs.Esr_obs.Obs.trace in
-      if Trace.on trace then
-        Trace.emit trace ~time:(Engine.now t.env.engine)
-          (Trace.Mset_enqueued
-             {
-               et;
-               origin;
-               n_ops = List.length ops;
-               keys = List.map (fun (i : Intf.iop) -> i.Intf.key) ops;
-             });
-      Hashtbl.replace t.pending_commits et (origin, k);
-      let prof = t.env.Intf.obs.Esr_obs.Obs.prof in
-      match t.mode with
-      | `Sequencer ->
-          (* Per-site dense tickets: each interested site gets the next
-             number of its own stream, assigned here in one atomic step so
-             every stream lists concurrent ETs in the same (submission)
-             order. *)
-          let local = ref None in
-          let propagate () =
-            Sharding.Dests.iter c (fun dst ->
-                t.site_issued.(dst) <- t.site_issued.(dst) + 1;
-                let m =
-                  { et; order = Ticket t.site_issued.(dst); ops; origin;
-                    commit_site }
-                in
-                if dst = origin then local := Some m
-                else Squeue.send t.fabric ~src:origin ~dst (Update m))
-          in
-          if Prof.on prof then begin
-            let t0 = Prof.start prof in
-            let a0 = Prof.alloc0 prof in
-            propagate ();
-            Prof.record prof ~site:origin Prof.Propagate ~t0 ~a0
-          end
-          else propagate ();
-          (match !local with
-          | Some m -> receive t ~site:origin (Update m)
-          | None -> ())
-      | `Lamport ->
-          (* Interested sites get the MSet; everyone else still needs the
-             stamp as a watermark, or their delivery-order proof (and any
-             parked SR query) would stall until the final flush. *)
-          let stamp = Gtime.next site.clock ~site:origin in
-          let mset = { et; order = Stamp stamp; ops; origin; commit_site } in
-          let propagate () =
-            for dst = 0 to t.env.Intf.sites - 1 do
-              if dst <> origin then
-                if Sharding.Dests.mem c dst then
-                  Squeue.send t.fabric ~src:origin ~dst (Update mset)
-                else Squeue.send t.fabric ~src:origin ~dst (Watermark stamp)
-            done
-          in
-          if Prof.on prof then begin
-            let t0 = Prof.start prof in
-            let a0 = Prof.alloc0 prof in
-            propagate ();
-            Prof.record prof ~site:origin Prof.Propagate ~t0 ~a0
-          end
-          else propagate ();
-          if Sharding.Dests.mem c origin then
-            receive t ~site:origin (Update mset)
-          else receive t ~site:origin (Watermark stamp)
-    end
+    in
+    let trace = t.env.Intf.obs.Esr_obs.Obs.trace in
+    if Trace.on trace then
+      Trace.emit trace ~time:(Engine.now t.env.engine)
+        (Trace.Mset_enqueued
+           {
+             et;
+             origin;
+             n_ops = List.length ops;
+             keys = List.map (fun (i : Intf.iop) -> i.Intf.key) ops;
+           });
+    Hashtbl.replace t.pending_commits et (origin, k);
+    (* Remote replicas get the MSet through the stable queues; the origin
+       buffers it directly (local enqueue is not subject to the network). *)
+    match t.mode with
+    | `Sequencer ->
+        (* Per-site dense tickets: each interested site gets the next
+           number of its own stream, assigned here in one atomic step so
+           every stream lists concurrent ETs in the same (submission)
+           order.  Consecutive destinations whose streams agree on the
+           ticket share one message; under full placement every stream
+           agrees, so an update allocates a single MSet. *)
+        let local = ref None in
+        let shared = ref no_update in
+        let propagate () =
+          Sharding.Dests.iter c (fun dst ->
+              let ticket = Sequencer.next t.streams.(dst) in
+              let msg =
+                match !shared with
+                | Update { order = Ticket n; _ } when n = ticket -> !shared
+                | Update _ | Watermark _ ->
+                    let msg =
+                      Update { et; order = Ticket ticket; ops; origin; commit_site }
+                    in
+                    shared := msg;
+                    msg
+              in
+              if dst = origin then local := Some msg
+              else Squeue.send t.fabric ~src:origin ~dst msg)
+        in
+        Replica_site.timed t.env ~site:origin Prof.Propagate propagate;
+        (match !local with Some msg -> receive t ~site:origin msg | None -> ())
+    | `Lamport ->
+        (* Interested sites get the MSet; everyone else still needs the
+           stamp as a watermark, or their delivery-order proof (and any
+           parked SR query) would stall until the final flush. *)
+        let stamp = Gtime.next site.clock ~site:origin in
+        let mset = { et; order = Stamp stamp; ops; origin; commit_site } in
+        let propagate () =
+          for dst = 0 to t.env.Intf.sites - 1 do
+            if dst <> origin then
+              if Sharding.Dests.mem c dst then
+                Squeue.send t.fabric ~src:origin ~dst (Update mset)
+              else Squeue.send t.fabric ~src:origin ~dst (Watermark stamp)
+          done
+        in
+        Replica_site.timed t.env ~site:origin Prof.Propagate propagate;
+        if Sharding.Dests.mem c origin then receive t ~site:origin (Update mset)
+        else receive t ~site:origin (Watermark stamp)
   end
 
 (* The query's serialization point: everything ordered at or before this
@@ -452,12 +398,11 @@ let submit_update t ~origin intents k =
 let query_order t site =
   match t.mode with
   | `Sequencer ->
-      (* Under partial replication each site executes its own dense
-         stream, so the serialization point is the last ticket issued FOR
-         this site, not the global count. *)
-      if t.full then Ticket (Sequencer.issued t.sequencer)
-      else Ticket t.site_issued.(site.id)
-  | `Lamport -> Stamp (Gtime.make ~counter:(Lamport.peek site.clock) ~site:site.id)
+      (* Each site executes its own dense stream, so the serialization
+         point is the last ticket handed out FOR this site. *)
+      Ticket (Sequencer.issued t.streams.(site.d.id))
+  | `Lamport ->
+      Stamp (Gtime.make ~counter:(Lamport.peek site.clock) ~site:site.d.id)
 
 (* Updates ordered before the query's point but not yet executed locally:
    the query's initial overlap. *)
@@ -475,8 +420,8 @@ let missing_before site = function
 let read_all site ~et keys =
   List.map
     (fun key ->
-      log_action site ~et ~key Op.Read;
-      (key, Store.get site.store key))
+      Replica_site.log_action site.d ~et ~key Op.Read;
+      (key, Store.get site.d.store key))
     keys
 
 let submit_query t ~site:site_id ~keys ~epsilon k =
@@ -496,11 +441,11 @@ let submit_query t ~site:site_id ~keys ~epsilon k =
         served_at = Engine.now t.env.engine;
       }
   in
-  if site.down then
+  if site.d.down then
     (* Graceful failure: a crashed site answers from its last image,
        flagged degraded. *)
     finish ~charged:0 ~consistent:false
-      (List.map (fun key -> (key, Store.get site.store key)) keys)
+      (List.map (fun key -> (key, Store.get site.d.store key)) keys)
   else begin
   let consistent_path () =
     t.n_fallbacks <- t.n_fallbacks + 1;
@@ -513,7 +458,7 @@ let submit_query t ~site:site_id ~keys ~epsilon k =
       (* The site crashed while the query waited: its volatile context is
          gone, so answer degraded from whatever the site last held. *)
       finish ~charged:(Epsilon.value eps) ~consistent:false
-        (List.map (fun key -> (key, Store.get site.store key)) keys)
+        (List.map (fun key -> (key, Store.get site.d.store key)) keys)
     in
     if order_reached site target then resume ()
     else
@@ -578,14 +523,13 @@ let submit_query t ~site:site_id ~keys ~epsilon k =
             finish ~charged:(Epsilon.value eps) ~consistent:false
               (List.rev !values)
         | key :: rest ->
-            log_action site ~et ~key Op.Read;
-            values := (key, Store.get site.store key) :: !values;
+            Replica_site.log_action site.d ~et ~key Op.Read;
+            values := (key, Store.get site.d.store key) :: !values;
             if rest = [] then step []
             else
               ignore
                 (Engine.schedule t.env.engine
-                   ~delay:t.env.Intf.config.Intf.query_step_delay (fun () ->
-                     step rest))
+                   ~delay:Replica_site.query_step_delay (fun () -> step rest))
     in
     step keys
   end
@@ -598,64 +542,59 @@ let flush t =
       Array.iter
         (fun site ->
           let ts =
-            Gtime.make ~counter:(Lamport.peek site.clock) ~site:site.id
+            Gtime.make ~counter:(Lamport.peek site.clock) ~site:site.d.id
           in
-          site.watermarks.(site.id) <- ts;
-          Squeue.broadcast t.fabric ~src:site.id (Watermark ts);
+          site.watermarks.(site.d.id) <- ts;
+          Squeue.broadcast t.fabric ~src:site.d.id (Watermark ts);
           drain_lamport t site;
           wake_parked site)
         t.sites
 
 let on_crash t ~site:site_id =
   let site = t.sites.(site_id) in
-  if not site.down then begin
-    site.down <- true;
-    (* Volatile order buffers are gone; the receipt journal ([t.wal]) keeps
-       the only durable copy of what they held. *)
-    let buffered = Hashtbl.length site.seq_buffer + List.length site.lam_buffer in
-    Hashtbl.reset site.seq_buffer;
-    site.lam_buffer <- [];
-    (* Parked queries fail immediately with a degraded answer; active
-       queries are killed and finish degraded at their next step. *)
-    let parked = site.parked in
-    site.parked <- [];
-    List.iter (fun pq -> pq.pq_fail ()) parked;
-    let killed = List.length site.active in
-    List.iter (fun aq -> aq.aq_killed <- true) site.active;
-    site.active <- [];
-    let queries_failed = List.length parked + killed in
-    (* Origin-side commit callbacks are volatile: clients of this site get
-       a rejection.  The MSets themselves are already in the stable fabric
-       and still commit everywhere (including here, after recovery). *)
-    let orphaned =
-      Hashtbl.fold
-        (fun et (origin, k) acc ->
-          if origin = site_id then (et, k) :: acc else acc)
-        t.pending_commits []
-      |> List.sort (fun (a, _) (b, _) -> compare a b)
-    in
-    List.iter
-      (fun (et, k) ->
-        Hashtbl.remove t.pending_commits et;
-        k (Intf.Rejected "origin site crashed"))
-      orphaned;
-    Recovery.emit_volatile_dropped ~obs:t.env.Intf.obs ~engine:t.env.Intf.engine
-      ~site:site_id ~buffered ~queries_failed
-      ~updates_rejected:(List.length orphaned) ~log:(Hist.length site.hist)
-  end
+  Replica_site.crash t.env site.d (fun () ->
+      (* Volatile order buffers are gone; the receipt journal ([t.wal])
+         keeps the only durable copy of what they held. *)
+      let buffered =
+        Hashtbl.length site.seq_buffer + List.length site.lam_buffer
+      in
+      Hashtbl.reset site.seq_buffer;
+      site.lam_buffer <- [];
+      (* Parked queries fail immediately with a degraded answer; active
+         queries are killed and finish degraded at their next step. *)
+      let parked = site.parked in
+      site.parked <- [];
+      List.iter (fun pq -> pq.pq_fail ()) parked;
+      let killed = List.length site.active in
+      List.iter (fun aq -> aq.aq_killed <- true) site.active;
+      site.active <- [];
+      (* Origin-side commit callbacks are volatile: clients of this site
+         get a rejection.  The MSets themselves are already in the stable
+         fabric and still commit everywhere (including here, after
+         recovery). *)
+      let orphaned =
+        Hashtbl.fold
+          (fun et (origin, k) acc ->
+            if origin = site_id then (et, k) :: acc else acc)
+          t.pending_commits []
+        |> List.sort (fun (a, _) (b, _) -> compare a b)
+      in
+      List.iter
+        (fun (et, k) ->
+          Hashtbl.remove t.pending_commits et;
+          k (Intf.Rejected "origin site crashed"))
+        orphaned;
+      {
+        Replica_site.buffered;
+        queries_failed = List.length parked + killed;
+        updates_rejected = List.length orphaned;
+      })
 
 let on_recover t ~site:site_id =
   let site = t.sites.(site_id) in
-  if site.down then begin
-    site.down <- false;
-    (* Replay the durable log — checkpoint + tail when the run
-       checkpoints — to rebuild the store image... *)
-    site.store <-
-      Recovery.replay_site ?ckpt:t.env.Intf.checkpoint
-        ~keyspace:t.env.Intf.keyspace ~size:t.env.Intf.store_hint
-        ~obs:t.env.Intf.obs ~engine:t.env.Intf.engine ~site:site_id site.hist;
-    (* ...then re-ingest the journaled-but-unapplied MSets into the order
-       buffers.  The stable-queue backlog redelivers everything else. *)
+  if Replica_site.recover t.env site.d then begin
+    (* The image is back; re-ingest the journaled-but-unapplied MSets into
+       the order buffers.  The stable-queue backlog redelivers the rest. *)
     List.iter
       (fun mset ->
         match (t.mode, mset.order) with
@@ -671,20 +610,10 @@ let on_recover t ~site:site_id =
     wake_parked site
   end
 
-let checkpoint t ~site:site_id =
-  match t.env.Intf.checkpoint with
-  | None -> ()
-  | Some c ->
-      let site = t.sites.(site_id) in
-      if not site.down then begin
-        (* Unapplied MSets straddling the cut stay in the receipt journal
-           ([t.wal]); only the stable-queue dedup records behind the
-           delivery watermark are reclaimable here. *)
-        let reclaimed = Squeue.gc_site t.fabric ~site:site_id in
-        site.hist <-
-          Checkpoint.cut c ~engine:t.env.Intf.engine ~site:site_id
-            ~store:site.store ~hist:site.hist ~reclaimed ()
-      end
+(* Unapplied MSets straddling a cut stay in the receipt journal
+   ([t.wal]); only the stable-queue dedup records are reclaimable. *)
+let checkpoint t ~site =
+  Replica_site.checkpoint t.env t.durable.(site) t.fabric
 
 let quiescent t =
   Array.for_all
@@ -702,17 +631,9 @@ let backlog t =
     (Hashtbl.length t.pending_commits)
     t.sites
 
-let store t ~site = t.sites.(site).store
+let sites t = t.durable
 let mvstore _ ~site:_ = None
-let history t ~site = t.sites.(site).hist
-
-let converged t =
-  if t.full then
-    let reference = t.sites.(0).store in
-    Array.for_all (fun site -> Store.equal site.store reference) t.sites
-  else
-    Sharding.converged t.env.Intf.sharding ~keyspace:t.env.Intf.keyspace
-      ~store:(fun site -> t.sites.(site).store)
+let converged t = Replica_site.converged t.env t.durable
 
 let stats t =
   [
@@ -722,15 +643,5 @@ let stats t =
     ("charged_units", float_of_int t.n_charged_units);
   ]
 
-let resources t ~site:site_id =
-  let site = t.sites.(site_id) in
-  {
-    Intf.log_entries = Hist.length site.hist;
-    log_bytes = Hist.approx_bytes site.hist;
-    wal_entries = Recovery.Wal.size t.wal ~site:site_id;
-    wal_appended = Recovery.Wal.appended t.wal ~site:site_id;
-    wal_high_water = Recovery.Wal.high_water t.wal ~site:site_id;
-    journal_depth = Squeue.journal_depth t.fabric ~site:site_id;
-    journal_enqueued = Squeue.journaled t.fabric ~site:site_id;
-    store_words = Store.live_words site.store;
-  }
+let resources t ~site =
+  Replica_site.resources ~wal:t.wal t.durable.(site) t.fabric

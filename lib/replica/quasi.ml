@@ -27,7 +27,6 @@ module Value = Esr_store.Value
 module Store = Esr_store.Store
 module Keyspace = Esr_store.Keyspace
 module Sharding = Esr_store.Sharding
-module Hist = Esr_core.Hist
 module Et = Esr_core.Et
 module Epsilon = Esr_core.Epsilon
 module Engine = Esr_sim.Engine
@@ -45,12 +44,9 @@ type msg =
   | Query_reply of { qid : int; values : (string * Value.t) list }
 
 type site = {
-  id : int;
-  mutable store : Store.t;  (* volatile image; rebuilt from [hist] *)
-  mutable hist : Hist.t;  (* the durable log *)
+  d : Replica_site.t;  (* the durable half: id, store, log, down flag *)
   versions : (string, int) Hashtbl.t;
       (* refresh versions seen — durable, written with the data *)
-  mutable down : bool;
 }
 
 (* A strict query waiting on the primary's reply; the wait context is
@@ -63,8 +59,8 @@ type pending_query = {
 
 type t = {
   env : Intf.env;
-  full : bool;  (* replication factor = sites: historical broadcast path *)
   dests : Sharding.Dests.t;  (* reusable routing cursor (refresh path) *)
+  durable : Replica_site.t array;
   sites : site array;
   fabric : msg Squeue.t;
   refresh : [ `Immediate | `Periodic of float | `Drift of float ];
@@ -92,40 +88,26 @@ let meta =
     sorting_time = "at primary";
   }
 
-let log_action site ~et ~key op =
-  site.hist <- Hist.append site.hist (Et.action ~et ~key op)
-
 let value_drift a b =
   match (a, b) with
   | Value.Int x, Value.Int y -> Float.abs (float_of_int (x - y))
   | a, b -> if Value.equal a b then 0.0 else infinity
 
 let push_key t key =
-  let p = t.sites.(primary) in
-  let value = Store.get p.store key in
+  let value = Store.get t.durable.(primary).store key in
   Hashtbl.replace t.last_pushed key value;
   t.next_version <- t.next_version + 1;
   t.n_refreshes <- t.n_refreshes + 1;
   (* Refresh pushes are QUASI's update propagation: only the sites keeping
      a quasi-copy of the key's shard need them. *)
   let propagate () =
-    let msg = Refresh { key; value; version = t.next_version } in
-    if t.full then Squeue.broadcast t.fabric ~src:primary msg
-    else begin
-      let c = t.dests in
-      Sharding.Dests.reset c;
-      Sharding.Dests.add_id c (Keyspace.find t.env.Intf.keyspace key);
-      Squeue.multicast t.fabric ~src:primary ~dests:c msg
-    end
+    let c = t.dests in
+    Sharding.Dests.reset c;
+    Sharding.Dests.add_id c (Keyspace.find t.env.Intf.keyspace key);
+    Squeue.multicast t.fabric ~src:primary ~dests:c
+      (Refresh { key; value; version = t.next_version })
   in
-  let prof = t.env.Intf.obs.Esr_obs.Obs.prof in
-  if Prof.on prof then begin
-    let t0 = Prof.start prof in
-    let a0 = Prof.alloc0 prof in
-    propagate ();
-    Prof.record prof ~site:primary Prof.Propagate ~t0 ~a0
-  end
-  else propagate ()
+  Replica_site.timed t.env ~site:primary Prof.Propagate propagate
 
 let rec arm_timer t tau =
   if not t.timer_armed then begin
@@ -150,7 +132,7 @@ let after_primary_update t keys =
   | `Drift alpha ->
       List.iter
         (fun key ->
-          let current = Store.get t.sites.(primary).store key in
+          let current = Store.get t.durable.(primary).store key in
           let last =
             Option.value (Hashtbl.find_opt t.last_pushed key) ~default:Value.zero
           in
@@ -170,20 +152,13 @@ let rec receive t ~site:site_id msg =
       let apply () =
         List.iter
           (fun (key, op) ->
-            (match Store.apply_unit site.store key op with
+            (match Store.apply_unit site.d.store key op with
             | Ok () -> ()
             | Error _ -> invalid_arg "QUASI: op failed at primary");
-            log_action site ~et ~key op)
+            Replica_site.log_action site.d ~et ~key op)
           ops
       in
-      let prof = t.env.Intf.obs.Esr_obs.Obs.prof in
-      if Prof.on prof then begin
-        let t0 = Prof.start prof in
-        let a0 = Prof.alloc0 prof in
-        apply ();
-        Prof.record prof ~site:site_id Prof.Apply ~t0 ~a0
-      end
-      else apply ();
+      Replica_site.timed t.env ~site:site_id Prof.Apply apply;
       after_primary_update t (List.map fst ops);
       let reply = Update_done { et } in
       if origin = site_id then receive t ~site:origin reply
@@ -198,16 +173,17 @@ let rec receive t ~site:site_id msg =
       let seen = Option.value (Hashtbl.find_opt site.versions key) ~default:0 in
       if version > seen then begin
         Hashtbl.replace site.versions key version;
-        Store.set site.store key value;
-        log_action site ~et:(t.env.Intf.next_et ()) ~key (Op.Write value)
+        Store.set site.d.store key value;
+        Replica_site.log_action site.d ~et:(t.env.Intf.next_et ()) ~key
+          (Op.Write value)
       end
   | Do_query { qid; keys; origin } ->
       let query_et = t.env.Intf.next_et () in
       let values =
         List.map
           (fun key ->
-            log_action site ~et:query_et ~key Op.Read;
-            (key, Store.get site.store key))
+            Replica_site.log_action site.d ~et:query_et ~key Op.Read;
+            (key, Store.get site.d.store key))
           keys
       in
       let reply = Query_reply { qid; values } in
@@ -221,44 +197,34 @@ let rec receive t ~site:site_id msg =
       | None -> ())
 
 let create (env : Intf.env) =
+  let durable = Replica_site.create env in
   let rec t =
     lazy
-      (let fabric =
-         Squeue.create ~mode:Squeue.Unordered
-           ~retry_interval:env.Intf.config.Intf.retry_interval
-           ?backoff:env.Intf.config.Intf.retry_backoff
-           ~obs:env.Intf.obs env.Intf.net
-           ~handler:(fun ~site ~src:_ msg -> receive (Lazy.force t) ~site msg)
-       in
-       {
-         env;
-         full = Sharding.is_full env.Intf.sharding;
-         dests = Sharding.Dests.cursor env.Intf.sharding;
-         sites =
-           Array.init env.Intf.sites (fun id ->
-               {
-                 id;
-                 store =
-                   Store.create ~size:env.Intf.store_hint
-                     ~keyspace:env.Intf.keyspace ();
-                 hist = Hist.empty;
-                 versions = Hashtbl.create (Stdlib.max 32 env.Intf.store_hint);
-                 down = false;
-               });
-         fabric;
-         refresh = env.Intf.config.Intf.quasi_refresh;
-         last_pushed = Hashtbl.create (Stdlib.max 32 env.Intf.store_hint);
-         dirty = [];
-         timer_armed = false;
-         next_version = 0;
-         outcomes = Hashtbl.create 32;
-         query_replies = Hashtbl.create 32;
-         next_qid = 0;
-         n_updates = 0;
-         n_queries = 0;
-         n_refreshes = 0;
-         n_primary_reads = 0;
-       })
+      {
+        env;
+        dests = Sharding.Dests.cursor env.Intf.sharding;
+        durable;
+        sites =
+          Array.map
+            (fun d ->
+              { d; versions = Hashtbl.create (Stdlib.max 32 env.Intf.store_hint) })
+            durable;
+        fabric =
+          Replica_site.fabric env ~mode:Squeue.Unordered (fun ~site ~src:_ msg ->
+              receive (Lazy.force t) ~site msg);
+        refresh = env.Intf.config.Intf.quasi_refresh;
+        last_pushed = Hashtbl.create (Stdlib.max 32 env.Intf.store_hint);
+        dirty = [];
+        timer_armed = false;
+        next_version = 0;
+        outcomes = Hashtbl.create 32;
+        query_replies = Hashtbl.create 32;
+        next_qid = 0;
+        n_updates = 0;
+        n_queries = 0;
+        n_refreshes = 0;
+        n_primary_reads = 0;
+      }
   in
   Lazy.force t
 
@@ -268,7 +234,7 @@ let intent_to_op = function
   | Intf.Mul (k, f) -> (k, Op.Mult f)
 
 let submit_update t ~origin intents k =
-  if t.sites.(origin).down then k (Intf.Rejected "origin site down")
+  if t.durable.(origin).down then k (Intf.Rejected "origin site down")
   else if intents = [] then k (Intf.Rejected "empty update ET")
   else begin
     t.n_updates <- t.n_updates + 1;
@@ -308,10 +274,10 @@ let submit_query t ~site:site_id ~keys ~epsilon k =
     (* Graceful failure: answer from the last local image, flagged
        degraded (nothing is logged — the site is not executing). *)
     finish ~consistent:false
-      (List.map (fun key -> (key, Store.get t.sites.(site_id).store key)) keys)
+      (List.map (fun key -> (key, Store.get t.durable.(site_id).store key)) keys)
   in
   let strict = epsilon = Epsilon.Limit 0 in
-  if t.sites.(site_id).down then local_degraded ()
+  if t.durable.(site_id).down then local_degraded ()
   else if strict && site_id <> primary then begin
     (* Consult the central copy, as quasi-copies applications do when the
        local copy is not close enough. *)
@@ -328,12 +294,12 @@ let submit_query t ~site:site_id ~keys ~epsilon k =
       (Do_query { qid; keys; origin = site_id })
   end
   else begin
-    let site = t.sites.(site_id) in
+    let site = t.durable.(site_id) in
     let query_et = t.env.Intf.next_et () in
     let values =
       List.map
         (fun key ->
-          log_action site ~et:query_et ~key Op.Read;
+          Replica_site.log_action site ~et:query_et ~key Op.Read;
           (key, Store.get site.store key))
         keys
     in
@@ -351,85 +317,67 @@ let flush t =
          reconciles them. *)
       List.iter
         (fun key ->
-          let current = Store.get t.sites.(primary).store key in
+          let current = Store.get t.durable.(primary).store key in
           let last =
             Option.value (Hashtbl.find_opt t.last_pushed key) ~default:Value.zero
           in
           if not (Value.equal current last) then push_key t key)
-        (Store.keys t.sites.(primary).store)
+        (Store.keys t.durable.(primary).store)
   | `Immediate | `Periodic _ -> ()
 
 let on_crash t ~site:site_id =
-  let site = t.sites.(site_id) in
-  if not site.down then begin
-    site.down <- true;
-    (* Strict queries from this site waiting on the primary's reply: the
-       wait context is volatile — answer degraded from the local image. *)
-    let my_queries =
-      Hashtbl.fold
-        (fun qid pq acc -> if pq.q_origin = site_id then (qid, pq) :: acc else acc)
-        t.query_replies []
-      |> List.sort (fun (a, _) (b, _) -> compare a b)
-    in
-    List.iter (fun (qid, _) -> Hashtbl.remove t.query_replies qid) my_queries;
-    List.iter (fun (_, pq) -> pq.q_fail ()) my_queries;
-    (* Updates submitted here still waiting on Update_done: the origin-side
-       callback is volatile, so the client sees a rejection even though the
-       primary may have (or will have) applied the ET. *)
-    let my_updates =
-      Hashtbl.fold
-        (fun et (origin, notify) acc ->
-          if origin = site_id then (et, notify) :: acc else acc)
-        t.outcomes []
-      |> List.sort (fun (a, _) (b, _) -> compare a b)
-    in
-    List.iter (fun (et, _) -> Hashtbl.remove t.outcomes et) my_updates;
-    List.iter
-      (fun (_, notify) -> notify (Intf.Rejected "origin site crashed"))
-      my_updates;
-    (* The primary's propagation bookkeeping (dirty set, last-pushed
-       images) is volatile; recovery re-pushes everything instead. *)
-    let buffered =
-      if site_id = primary then begin
-        let n = List.length (List.sort_uniq String.compare t.dirty) in
-        t.dirty <- [];
-        Hashtbl.reset t.last_pushed;
-        n
-      end
-      else 0
-    in
-    Recovery.emit_volatile_dropped ~obs:t.env.Intf.obs ~engine:t.env.Intf.engine
-      ~site:site_id ~buffered ~queries_failed:(List.length my_queries)
-      ~updates_rejected:(List.length my_updates) ~log:(Hist.length site.hist)
-  end
+  Replica_site.crash t.env t.durable.(site_id) (fun () ->
+      (* Strict queries from this site waiting on the primary's reply: the
+         wait context is volatile — answer degraded from the local image. *)
+      let my_queries =
+        Hashtbl.fold
+          (fun qid pq acc ->
+            if pq.q_origin = site_id then (qid, pq) :: acc else acc)
+          t.query_replies []
+        |> List.sort (fun (a, _) (b, _) -> compare a b)
+      in
+      List.iter (fun (qid, _) -> Hashtbl.remove t.query_replies qid) my_queries;
+      List.iter (fun (_, pq) -> pq.q_fail ()) my_queries;
+      (* Updates submitted here still waiting on Update_done: the
+         origin-side callback is volatile, so the client sees a rejection
+         even though the primary may have (or will have) applied the ET. *)
+      let my_updates =
+        Hashtbl.fold
+          (fun et (origin, notify) acc ->
+            if origin = site_id then (et, notify) :: acc else acc)
+          t.outcomes []
+        |> List.sort (fun (a, _) (b, _) -> compare a b)
+      in
+      List.iter (fun (et, _) -> Hashtbl.remove t.outcomes et) my_updates;
+      List.iter
+        (fun (_, notify) -> notify (Intf.Rejected "origin site crashed"))
+        my_updates;
+      (* The primary's propagation bookkeeping (dirty set, last-pushed
+         images) is volatile; recovery re-pushes everything instead. *)
+      let buffered =
+        if site_id = primary then begin
+          let n = List.length (List.sort_uniq String.compare t.dirty) in
+          t.dirty <- [];
+          Hashtbl.reset t.last_pushed;
+          n
+        end
+        else 0
+      in
+      {
+        Replica_site.buffered;
+        queries_failed = List.length my_queries;
+        updates_rejected = List.length my_updates;
+      })
 
-let on_recover t ~site:site_id =
-  let site = t.sites.(site_id) in
-  if site.down then begin
-    site.down <- false;
-    site.store <-
-      Recovery.replay_site ?ckpt:t.env.Intf.checkpoint
-        ~keyspace:t.env.Intf.keyspace ~size:t.env.Intf.store_hint
-        ~obs:t.env.Intf.obs ~engine:t.env.Intf.engine ~site:site_id site.hist;
-    if site_id = primary then
-      (* Anti-entropy resync: with the dirty/last-pushed bookkeeping lost,
-         re-push the whole image so quasi-copies re-converge and the
-         closeness predicate restarts from a known state. *)
-      List.iter (push_key t)
-        (List.sort String.compare (Store.keys site.store))
-  end
+let on_recover t ~site =
+  let d = t.durable.(site) in
+  if Replica_site.recover t.env d && site = primary then
+    (* Anti-entropy resync: with the dirty/last-pushed bookkeeping lost,
+       re-push the whole image so quasi-copies re-converge and the
+       closeness predicate restarts from a known state. *)
+    List.iter (push_key t) (List.sort String.compare (Store.keys d.store))
 
-let checkpoint t ~site:site_id =
-  match t.env.Intf.checkpoint with
-  | None -> ()
-  | Some c ->
-      let site = t.sites.(site_id) in
-      if not site.down then begin
-        let reclaimed = Squeue.gc_site t.fabric ~site:site_id in
-        site.hist <-
-          Checkpoint.cut c ~engine:t.env.Intf.engine ~site:site_id
-            ~store:site.store ~hist:site.hist ~reclaimed ()
-      end
+let checkpoint t ~site = Replica_site.checkpoint t.env t.durable.(site) t.fabric
 
 let backlog t =
   Hashtbl.length t.outcomes + Hashtbl.length t.query_replies
@@ -445,40 +393,35 @@ let quiescent t =
       List.for_all
         (fun key ->
           Value.equal
-            (Store.get t.sites.(primary).store key)
+            (Store.get t.durable.(primary).store key)
             (Option.value (Hashtbl.find_opt t.last_pushed key) ~default:Value.zero))
-        (Store.keys t.sites.(primary).store)
+        (Store.keys t.durable.(primary).store)
   | `Immediate | `Periodic _ -> true
 
-let store t ~site = t.sites.(site).store
+let sites t = t.durable
 let mvstore _ ~site:_ = None
-let history t ~site = t.sites.(site).hist
 
+(* The primary's copy is the master; each quasi-copy must agree with it on
+   exactly the keys (shards) it replicates. *)
 let converged t =
-  let reference = t.sites.(primary).store in
-  if t.full then
-    Array.for_all (fun site -> Store.equal site.store reference) t.sites
-  else begin
-    (* The primary's copy is the master; each quasi-copy must agree with
-       it on exactly the keys (shards) it replicates. *)
-    let sh = t.env.Intf.sharding in
-    let n = Keyspace.size t.env.Intf.keyspace in
-    let ok = ref true in
-    let id = ref 0 in
-    while !ok && !id < n do
-      let v = Store.get_id reference !id in
-      let reps = Sharding.replicas sh (Sharding.shard_of_id sh !id) in
-      for i = 0 to Array.length reps - 1 do
-        let s = reps.(i) in
-        if
-          !ok && s <> primary
-          && not (Value.equal (Store.get_id t.sites.(s).store !id) v)
-        then ok := false
-      done;
-      incr id
+  let reference = t.durable.(primary).store in
+  let sh = t.env.Intf.sharding in
+  let n = Keyspace.size t.env.Intf.keyspace in
+  let ok = ref true in
+  let id = ref 0 in
+  while !ok && !id < n do
+    let v = Store.get_id reference !id in
+    let reps = Sharding.replicas sh (Sharding.shard_of_id sh !id) in
+    for i = 0 to Array.length reps - 1 do
+      let s = reps.(i) in
+      if
+        !ok && s <> primary
+        && not (Value.equal (Store.get_id t.durable.(s).store !id) v)
+      then ok := false
     done;
-    !ok
-  end
+    incr id
+  done;
+  !ok
 
 let stats t =
   [
@@ -488,15 +431,4 @@ let stats t =
     ("primary_reads", float_of_int t.n_primary_reads);
   ]
 
-(* Refresh versions live with the data; there is no receipt journal, so
-   the WAL fields stay zero. *)
-let resources t ~site:site_id =
-  let site = t.sites.(site_id) in
-  {
-    Intf.no_resources with
-    Intf.log_entries = Hist.length site.hist;
-    log_bytes = Hist.approx_bytes site.hist;
-    journal_depth = Squeue.journal_depth t.fabric ~site:site_id;
-    journal_enqueued = Squeue.journaled t.fabric ~site:site_id;
-    store_words = Store.live_words site.store;
-  }
+let resources t ~site = Replica_site.resources t.durable.(site) t.fabric

@@ -20,7 +20,6 @@ module Value = Esr_store.Value
 module Store = Esr_store.Store
 module Keyspace = Esr_store.Keyspace
 module Sharding = Esr_store.Sharding
-module Hist = Esr_core.Hist
 module Et = Esr_core.Et
 module Engine = Esr_sim.Engine
 module Squeue = Esr_squeue.Squeue
@@ -71,18 +70,15 @@ type write_round = {
 }
 
 type site = {
-  id : int;
-  mutable store : Store.t;  (* volatile image; rebuilt from [hist] *)
+  d : Replica_site.t;  (* the durable half: id, store, log, down flag *)
   versions : (string, version) Hashtbl.t;
       (* durable: version numbers live with the data, written atomically
          with each install *)
-  mutable hist : Hist.t;  (* the durable log *)
-  mutable down : bool;
 }
 
 type t = {
   env : Intf.env;
-  full : bool;  (* replication factor = sites: historical broadcast path *)
+  durable : Replica_site.t array;
   sites : site array;
   fabric : msg Squeue.t;
   reads : (int, read_round) Hashtbl.t;
@@ -104,9 +100,6 @@ let meta =
     sorting_time = "at access";
   }
 
-let log_action site ~et ~key op =
-  site.hist <- Hist.append site.hist (Et.action ~et ~key op)
-
 let local_version site key =
   Option.value (Hashtbl.find_opt site.versions key) ~default:version_zero
 
@@ -114,10 +107,15 @@ let rec receive t ~site:site_id msg =
   let site = t.sites.(site_id) in
   match msg with
   | Version_req { rid; et; key; requester } ->
-      log_action site ~et ~key Op.Read;
+      Replica_site.log_action site.d ~et ~key Op.Read;
       post t ~src:site_id ~dst:requester
         (Version_reply
-           { rid; key; version = local_version site key; value = Store.get site.store key })
+           {
+             rid;
+             key;
+             version = local_version site key;
+             value = Store.get site.d.store key;
+           })
   | Version_reply { rid; key = _; version; value } -> (
       match Hashtbl.find_opt t.reads rid with
       | None -> ()  (* straggler after the quorum completed *)
@@ -135,20 +133,13 @@ let rec receive t ~site:site_id msg =
         let trace = t.env.Intf.obs.Esr_obs.Obs.trace in
         if Trace.on trace then
           Trace.emit trace ~time:(Engine.now t.env.engine)
-            (Trace.Mset_applied { et; site = site.id; n_ops = 1; order = None });
+            (Trace.Mset_applied { et; site = site_id; n_ops = 1; order = None });
         let install () =
           Hashtbl.replace site.versions key version;
-          Store.set site.store key value;
-          log_action site ~et ~key (Op.Write value)
+          Store.set site.d.store key value;
+          Replica_site.log_action site.d ~et ~key (Op.Write value)
         in
-        let prof = t.env.Intf.obs.Esr_obs.Obs.prof in
-        if Prof.on prof then begin
-          let t0 = Prof.start prof in
-          let a0 = Prof.alloc0 prof in
-          install ();
-          Prof.record prof ~site:site.id Prof.Apply ~t0 ~a0
-        end
-        else install ()
+        Replica_site.timed t.env ~site:site_id Prof.Apply install
       end;
       (* Acks flow back to the writer regardless: the quorum counts
          participation, not freshness. *)
@@ -167,24 +158,18 @@ and post t ~src ~dst msg =
   if src = dst then receive t ~site:dst msg
   else Squeue.send t.fabric ~src ~dst msg
 
-(* Round fan-out: every site under full replication (the historical
-   behaviour), only the key's replica set otherwise — quorums intersect
-   within the replica set, not the whole system. *)
+(* Round fan-out: the key's replica set (every site under full
+   placement) — quorums intersect within the replica set, not the whole
+   system. *)
 let fan_key t key f =
-  if t.full then
-    for dst = 0 to t.env.Intf.sites - 1 do
-      f dst
-    done
-  else begin
-    let sh = t.env.Intf.sharding in
-    let reps =
-      Sharding.replicas sh
-        (Sharding.shard_of_id sh (Keyspace.find t.env.Intf.keyspace key))
-    in
-    for i = 0 to Array.length reps - 1 do
-      f reps.(i)
-    done
-  end
+  let sh = t.env.Intf.sharding in
+  let reps =
+    Sharding.replicas sh
+      (Sharding.shard_of_id sh (Keyspace.find t.env.Intf.keyspace key))
+  in
+  for i = 0 to Array.length reps - 1 do
+    f reps.(i)
+  done
 
 let read_round t ~origin ~et ~key ~needed ~update ~done_ ~fail =
   let rid = t.next_round in
@@ -218,17 +203,9 @@ let write_round t ~origin ~et ~key ~value ~version ~done_ ~fail =
     fan_key t key (fun dst ->
         post t ~src:origin ~dst (Write_req { wid; et; key; value; version }))
   in
-  let prof = t.env.Intf.obs.Esr_obs.Obs.prof in
-  if Prof.on prof then begin
-    let t0 = Prof.start prof in
-    let a0 = Prof.alloc0 prof in
-    fan_out ();
-    Prof.record prof ~site:origin Prof.Propagate ~t0 ~a0
-  end
-  else fan_out ()
+  Replica_site.timed t.env ~site:origin Prof.Propagate fan_out
 
 let create (env : Intf.env) =
-  let n = env.Intf.sites in
   (* Under partial replication, quorums live inside each key's replica
      set: intersection must hold among the [factor] copies, not among all
      sites.  With factor = sites this is exactly the historical rule. *)
@@ -240,50 +217,40 @@ let create (env : Intf.env) =
     invalid_arg "Quorum.create: r + w must exceed the number of copies";
   if read_quorum > copies || write_quorum > copies then
     invalid_arg "Quorum.create: a quorum cannot exceed the replication factor";
+  let durable = Replica_site.create env in
   let rec t =
     lazy
-      (let fabric =
-         Squeue.create ~mode:Squeue.Unordered
-           ~retry_interval:env.Intf.config.Intf.retry_interval
-           ?backoff:env.Intf.config.Intf.retry_backoff
-           ~obs:env.Intf.obs env.Intf.net
-           ~handler:(fun ~site ~src:_ msg -> receive (Lazy.force t) ~site msg)
-       in
-       {
-         env;
-         full = Sharding.is_full env.Intf.sharding;
-         sites =
-           Array.init n (fun id ->
-               {
-                 id;
-                 store =
-                   Store.create ~size:env.Intf.store_hint
-                     ~keyspace:env.Intf.keyspace ();
-                 versions = Hashtbl.create (Stdlib.max 32 env.Intf.store_hint);
-                 hist = Hist.empty;
-                 down = false;
-               });
-         fabric;
-         reads = Hashtbl.create 32;
-         writes = Hashtbl.create 32;
-         read_quorum;
-         write_quorum;
-         next_round = 0;
-         n_updates = 0;
-         n_queries = 0;
-         n_rejected = 0;
-       })
+      {
+        env;
+        durable;
+        sites =
+          Array.map
+            (fun d ->
+              { d; versions = Hashtbl.create (Stdlib.max 32 env.Intf.store_hint) })
+            durable;
+        fabric =
+          Replica_site.fabric env ~mode:Squeue.Unordered (fun ~site ~src:_ msg ->
+              receive (Lazy.force t) ~site msg);
+        reads = Hashtbl.create 32;
+        writes = Hashtbl.create 32;
+        read_quorum;
+        write_quorum;
+        next_round = 0;
+        n_updates = 0;
+        n_queries = 0;
+        n_rejected = 0;
+      }
   in
   Lazy.force t
 
 let submit_update t ~origin intents notify =
   match intents with
-  | _ when t.sites.(origin).down -> notify (Intf.Rejected "origin site down")
+  | _ when t.durable.(origin).down -> notify (Intf.Rejected "origin site down")
   | [ Intf.Set (key, value) ] ->
       t.n_updates <- t.n_updates + 1;
       (* Pin the key's shard before routing: both rounds and every later
          access must agree on the replica set. *)
-      if not t.full then ignore (Keyspace.intern t.env.Intf.keyspace key);
+      ignore (Keyspace.intern t.env.Intf.keyspace key);
       let et = t.env.Intf.next_et () in
       let trace = t.env.Intf.obs.Esr_obs.Obs.trace in
       if Trace.on trace then
@@ -319,7 +286,7 @@ let submit_update t ~origin intents notify =
 let submit_query t ~site:site_id ~keys ~epsilon k =
   ignore epsilon;
   t.n_queries <- t.n_queries + 1;
-  let site = t.sites.(site_id) in
+  let site = t.durable.(site_id) in
   let et = t.env.Intf.next_et () in
   let started_at = Engine.now t.env.engine in
   let degraded () =
@@ -374,77 +341,49 @@ let submit_query t ~site:site_id ~keys ~epsilon k =
 let flush _ = ()
 
 let on_crash t ~site:site_id =
-  let site = t.sites.(site_id) in
-  if not site.down then begin
-    site.down <- true;
-    (* The rounds this site coordinates are volatile: queries answer
-       degraded, updates report rejection (their writes may still land at
-       a quorum — the classic uncertain outcome).  Straggler replies
-       arriving after recovery find no round and are ignored. *)
-    let my_reads =
-      Hashtbl.fold
-        (fun rid r acc -> if r.r_origin = site_id then (rid, r) :: acc else acc)
-        t.reads []
-      |> List.sort (fun (a, _) (b, _) -> compare a b)
-    and my_writes =
-      Hashtbl.fold
-        (fun wid w acc -> if w.w_origin = site_id then (wid, w) :: acc else acc)
-        t.writes []
-      |> List.sort (fun (a, _) (b, _) -> compare a b)
-    in
-    let queries_failed = ref 0 and updates_rejected = ref 0 in
-    List.iter
-      (fun (rid, r) ->
-        Hashtbl.remove t.reads rid;
-        if r.r_fail () then
-          if r.r_update then incr updates_rejected else incr queries_failed)
-      my_reads;
-    List.iter
-      (fun (wid, w) ->
-        Hashtbl.remove t.writes wid;
-        if w.w_fail () then incr updates_rejected)
-      my_writes;
-    Recovery.emit_volatile_dropped ~obs:t.env.Intf.obs ~engine:t.env.Intf.engine
-      ~site:site_id ~buffered:0 ~queries_failed:!queries_failed
-      ~updates_rejected:!updates_rejected ~log:(Hist.length site.hist)
-  end
+  Replica_site.crash t.env t.durable.(site_id) (fun () ->
+      (* The rounds this site coordinates are volatile: queries answer
+         degraded, updates report rejection (their writes may still land
+         at a quorum — the classic uncertain outcome).  Straggler replies
+         arriving after recovery find no round and are ignored. *)
+      let my_reads =
+        Hashtbl.fold
+          (fun rid r acc -> if r.r_origin = site_id then (rid, r) :: acc else acc)
+          t.reads []
+        |> List.sort (fun (a, _) (b, _) -> compare a b)
+      and my_writes =
+        Hashtbl.fold
+          (fun wid w acc -> if w.w_origin = site_id then (wid, w) :: acc else acc)
+          t.writes []
+        |> List.sort (fun (a, _) (b, _) -> compare a b)
+      in
+      let queries_failed = ref 0 and updates_rejected = ref 0 in
+      List.iter
+        (fun (rid, r) ->
+          Hashtbl.remove t.reads rid;
+          if r.r_fail () then
+            if r.r_update then incr updates_rejected else incr queries_failed)
+        my_reads;
+      List.iter
+        (fun (wid, w) ->
+          Hashtbl.remove t.writes wid;
+          if w.w_fail () then incr updates_rejected)
+        my_writes;
+      {
+        Replica_site.buffered = 0;
+        queries_failed = !queries_failed;
+        updates_rejected = !updates_rejected;
+      })
 
-let on_recover t ~site:site_id =
-  let site = t.sites.(site_id) in
-  if site.down then begin
-    site.down <- false;
-    site.store <-
-      Recovery.replay_site ?ckpt:t.env.Intf.checkpoint
-        ~keyspace:t.env.Intf.keyspace ~size:t.env.Intf.store_hint
-        ~obs:t.env.Intf.obs ~engine:t.env.Intf.engine ~site:site_id site.hist
-  end
-
-let checkpoint t ~site:site_id =
-  match t.env.Intf.checkpoint with
-  | None -> ()
-  | Some c ->
-      let site = t.sites.(site_id) in
-      if not site.down then begin
-        let reclaimed = Squeue.gc_site t.fabric ~site:site_id in
-        site.hist <-
-          Checkpoint.cut c ~engine:t.env.Intf.engine ~site:site_id
-            ~store:site.store ~hist:site.hist ~reclaimed ()
-      end
+let on_recover t ~site = ignore (Replica_site.recover t.env t.durable.(site))
+let checkpoint t ~site = Replica_site.checkpoint t.env t.durable.(site) t.fabric
 
 let quiescent t = Hashtbl.length t.reads = 0 && Hashtbl.length t.writes = 0
 let backlog t = Hashtbl.length t.reads + Hashtbl.length t.writes
 
-let store t ~site = t.sites.(site).store
+let sites t = t.durable
 let mvstore _ ~site:_ = None
-let history t ~site = t.sites.(site).hist
-
-let converged t =
-  if t.full then
-    let reference = t.sites.(0).store in
-    Array.for_all (fun site -> Store.equal site.store reference) t.sites
-  else
-    Sharding.converged t.env.Intf.sharding ~keyspace:t.env.Intf.keyspace
-      ~store:(fun site -> t.sites.(site).store)
+let converged t = Replica_site.converged t.env t.durable
 
 let stats t =
   [
@@ -453,15 +392,4 @@ let stats t =
     ("rejected", float_of_int t.n_rejected);
   ]
 
-(* Versions live with the data; there is no receipt journal, so the WAL
-   fields stay zero. *)
-let resources t ~site:site_id =
-  let site = t.sites.(site_id) in
-  {
-    Intf.no_resources with
-    Intf.log_entries = Hist.length site.hist;
-    log_bytes = Hist.approx_bytes site.hist;
-    journal_depth = Squeue.journal_depth t.fabric ~site:site_id;
-    journal_enqueued = Squeue.journaled t.fabric ~site:site_id;
-    store_words = Store.live_words site.store;
-  }
+let resources t ~site = Replica_site.resources t.durable.(site) t.fabric

@@ -43,21 +43,19 @@ type mset = {
 type msg = Update of mset | Watermark of Gtime.t
 
 type site = {
-  id : int;
-  mutable store : Store.t;  (* latest-version view; rebuilt from [hist] *)
-  mutable mv : Mvstore.t;  (* populated in `Multi mode; rebuilt from [hist] *)
-  mutable hist : Hist.t;  (* the durable log *)
+  d : Replica_site.t;
+      (* the durable half: id, latest-version store, log, down flag *)
+  mutable mv : Mvstore.t;  (* populated in `Multi mode; rebuilt from the log *)
   clock : Lamport.t;
   watermarks : Gtime.t array;
       (* monotonic protocol metadata, logged with the stamps: durable *)
-  mutable down : bool;
 }
 
 type t = {
   env : Intf.env;
   mode : [ `Single | `Multi ];
-  full : bool;  (* replication factor = sites: historical broadcast path *)
   dests : Sharding.Dests.t;  (* reusable routing cursor (submit path) *)
+  durable : Replica_site.t array;
   sites : site array;
   fabric : msg Squeue.t;
   mutable n_updates : int;
@@ -77,9 +75,6 @@ let meta =
     sorting_time = "at read";
   }
 
-let log_action site ~et ~key op =
-  site.hist <- Hist.append site.hist (Et.action ~et ~key op)
-
 let refresh_vtnc site =
   let low = Array.fold_left Gtime.(fun acc w -> if compare w acc < 0 then w else acc)
       site.watermarks.(0) site.watermarks
@@ -90,8 +85,8 @@ let note_watermark site ~origin ts =
   if Gtime.compare ts site.watermarks.(origin) > 0 then
     site.watermarks.(origin) <- ts;
   Gtime.witness site.clock ts;
-  site.watermarks.(site.id) <-
-    Gtime.make ~counter:(Lamport.peek site.clock) ~site:site.id;
+  site.watermarks.(site.d.id) <-
+    Gtime.make ~counter:(Lamport.peek site.clock) ~site:site.d.id;
   refresh_vtnc site
 
 let apply_mset_inner t site mset =
@@ -101,7 +96,7 @@ let apply_mset_inner t site mset =
       (Trace.Mset_applied
          {
            et = mset.et;
-           site = site.id;
+           site = site.d.id;
            n_ops = List.length mset.writes;
            order = None;
          });
@@ -109,8 +104,7 @@ let apply_mset_inner t site mset =
   let stamp = mset.stamp in
   List.iter
     (fun (id, key, value) ->
-      if t.full || Sharding.replicates_id t.env.Intf.sharding ~site:site.id ~id
-      then begin
+      if Sharding.replicates_id t.env.Intf.sharding ~site:site.d.id ~id then begin
         let op =
           match t.mode with
           | `Single -> Op.Timed_write { ts = stamp; value }
@@ -122,26 +116,22 @@ let apply_mset_inner t site mset =
                that already has a newer (materialized) cell, so skipping the
                write leaves the store byte-identical to [Store.apply] while
                allocating nothing. *)
-            if Gtime.compare stamp (Store.get_ts_id site.store id) > 0 then
-              Store.set_with_ts_id site.store id value stamp
+            if Gtime.compare stamp (Store.get_ts_id site.d.store id) > 0 then
+              Store.set_with_ts_id site.d.store id value stamp
             else t.n_stale_ignored <- t.n_stale_ignored + 1
         | `Multi ->
             ignore (Mvstore.append site.mv key ~ts:stamp value);
             (* Maintain the latest-version view for convergence checks. *)
-            if Gtime.compare stamp (Store.get_ts_id site.store id) > 0 then
-              Store.set_with_ts_id site.store id value stamp);
-        log_action site ~et:mset.et ~key op
+            if Gtime.compare stamp (Store.get_ts_id site.d.store id) > 0 then
+              Store.set_with_ts_id site.d.store id value stamp);
+        Replica_site.log_action site.d ~et:mset.et ~key op
       end)
     mset.writes
 
 let apply_mset t site mset =
-  let prof = t.env.Intf.obs.Esr_obs.Obs.prof in
-  if Prof.on prof then begin
-    let t0 = Prof.start prof in
-    let a0 = Prof.alloc0 prof in
-    apply_mset_inner t site mset;
-    Prof.record prof ~site:site.id Prof.Apply ~t0 ~a0
-  end
+  if Prof.on t.env.Intf.obs.Esr_obs.Obs.prof then
+    Replica_site.timed t.env ~site:site.d.id Prof.Apply (fun () ->
+        apply_mset_inner t site mset)
   else apply_mset_inner t site mset
 
 (* Union of the replica sets of an MSet's write shards: the only sites
@@ -159,43 +149,36 @@ let receive t ~site:site_id msg =
   | Watermark ts -> note_watermark site ~origin:ts.Gtime.site ts
 
 let create (env : Intf.env) =
+  let durable = Replica_site.create env in
   let rec t =
     lazy
-      (let fabric =
-         Squeue.create ~mode:Squeue.Fifo
-           ~retry_interval:env.Intf.config.Intf.retry_interval
-           ?backoff:env.Intf.config.Intf.retry_backoff
-           ~obs:env.Intf.obs env.Intf.net
-           ~handler:(fun ~site ~src:_ msg -> receive (Lazy.force t) ~site msg)
-       in
-       {
-         env;
-         mode = env.Intf.config.Intf.ritu_mode;
-         full = Sharding.is_full env.Intf.sharding;
-         dests = Sharding.Dests.cursor env.Intf.sharding;
-         sites =
-           Array.init env.Intf.sites (fun id ->
-               {
-                 id;
-                 store =
-                   Store.create ~size:env.Intf.store_hint
-                     ~keyspace:env.Intf.keyspace ();
-                 mv =
-                   Mvstore.create ~size:env.Intf.store_hint
-                     ~keyspace:env.Intf.keyspace ();
-                 hist = Hist.empty;
-                 clock = Lamport.create ();
-                 watermarks = Array.make env.Intf.sites Gtime.zero;
-                 down = false;
-               });
-         fabric;
-         n_updates = 0;
-         n_queries = 0;
-         n_rejected = 0;
-         n_stale_ignored = 0;
-         n_fresh_reads = 0;
-         n_vtnc_reads = 0;
-       })
+      {
+        env;
+        mode = env.Intf.config.Intf.ritu_mode;
+        dests = Sharding.Dests.cursor env.Intf.sharding;
+        durable;
+        sites =
+          Array.map
+            (fun d ->
+              {
+                d;
+                mv =
+                  Mvstore.create ~size:env.Intf.store_hint
+                    ~keyspace:env.Intf.keyspace ();
+                clock = Lamport.create ();
+                watermarks = Array.make env.Intf.sites Gtime.zero;
+              })
+            durable;
+        fabric =
+          Replica_site.fabric env ~mode:Squeue.Fifo (fun ~site ~src:_ msg ->
+              receive (Lazy.force t) ~site msg);
+        n_updates = 0;
+        n_queries = 0;
+        n_rejected = 0;
+        n_stale_ignored = 0;
+        n_fresh_reads = 0;
+        n_vtnc_reads = 0;
+      }
   in
   Lazy.force t
 
@@ -205,7 +188,7 @@ let submit_update t ~origin intents k =
       (function Intf.Set (key, v) -> Some (key, v) | Intf.Add _ | Intf.Mul _ -> None)
       intents
   in
-  if t.sites.(origin).down then k (Intf.Rejected "origin site down")
+  if t.durable.(origin).down then k (Intf.Rejected "origin site down")
   else if intents = [] then k (Intf.Rejected "empty update ET")
   else if List.length writes <> List.length intents then begin
     (* Add/Mul read the current value: not read-independent, so outside
@@ -237,21 +220,12 @@ let submit_update t ~origin intents k =
            });
     apply_mset t site mset;
     let propagate () =
-      if t.full then Squeue.broadcast t.fabric ~src:origin (Update mset)
-      else
-        (* Blind writes only matter to the replicas of their shards; commit
-           stays immediate and local either way (read-independence). *)
-        Squeue.multicast t.fabric ~src:origin ~dests:(interested t writes)
-          (Update mset)
+      (* Blind writes only matter to the replicas of their shards; commit
+         stays immediate and local either way (read-independence). *)
+      Squeue.multicast t.fabric ~src:origin ~dests:(interested t writes)
+        (Update mset)
     in
-    let prof = t.env.Intf.obs.Esr_obs.Obs.prof in
-    if Prof.on prof then begin
-      let t0 = Prof.start prof in
-      let a0 = Prof.alloc0 prof in
-      propagate ();
-      Prof.record prof ~site:origin Prof.Propagate ~t0 ~a0
-    end
-    else propagate ();
+    Replica_site.timed t.env ~site:origin Prof.Propagate propagate;
     k (Intf.Committed { committed_at = Engine.now t.env.engine })
   end
 
@@ -262,11 +236,11 @@ let submit_query t ~site:site_id ~keys ~epsilon k =
   let eps = Epsilon.create epsilon in
   let started_at = Engine.now t.env.engine in
   let read_single key =
-    log_action site ~et ~key Op.Read;
-    (key, Store.get site.store key)
+    Replica_site.log_action site.d ~et ~key Op.Read;
+    (key, Store.get site.d.store key)
   in
   let read_multi key =
-    log_action site ~et ~key Op.Read;
+    Replica_site.log_action site.d ~et ~key Op.Read;
     let vtnc = Mvstore.vtnc site.mv in
     let value =
       match Mvstore.read_latest site.mv key with
@@ -285,12 +259,12 @@ let submit_query t ~site:site_id ~keys ~epsilon k =
     in
     (key, Option.value value ~default:Value.zero)
   in
-  if site.down then
+  if site.d.down then
     (* Graceful failure: a crashed site answers from its last image,
        flagged degraded (nothing is logged — the site is not executing). *)
     k
       {
-        Intf.values = List.map (fun key -> (key, Store.get site.store key)) keys;
+        Intf.values = List.map (fun key -> (key, Store.get site.d.store key)) keys;
         charged = 0;
         forced = 0;
         consistent_path = false;
@@ -317,101 +291,66 @@ let flush t =
   | `Multi ->
       Array.iter
         (fun site ->
-          let ts = Gtime.make ~counter:(Lamport.peek site.clock) ~site:site.id in
-          site.watermarks.(site.id) <- ts;
+          let ts = Gtime.make ~counter:(Lamport.peek site.clock) ~site:site.d.id in
+          site.watermarks.(site.d.id) <- ts;
           refresh_vtnc site;
-          Squeue.broadcast t.fabric ~src:site.id (Watermark ts))
+          Squeue.broadcast t.fabric ~src:site.d.id (Watermark ts))
         t.sites
 
-let on_crash t ~site:site_id =
-  let site = t.sites.(site_id) in
-  if not site.down then begin
-    site.down <- true;
-    (* RITU applies MSets on receipt and serves queries synchronously, so
-       the only volatile state is the materialized store/version images —
-       both rebuilt from the durable log on recovery.  Nothing to fail. *)
-    Recovery.emit_volatile_dropped ~obs:t.env.Intf.obs ~engine:t.env.Intf.engine
-      ~site:site_id ~buffered:0 ~queries_failed:0 ~updates_rejected:0
-      ~log:(Hist.length site.hist)
-  end
+(* RITU applies MSets on receipt and serves queries synchronously, so the
+   only volatile state is the materialized store/version images — both
+   rebuilt from the durable log on recovery.  Nothing to fail. *)
+let on_crash t ~site =
+  Replica_site.crash t.env t.durable.(site) (fun () -> Replica_site.nothing_dropped)
 
-let on_recover t ~site:site_id =
-  let site = t.sites.(site_id) in
-  if site.down then begin
-    site.down <- false;
-    match t.mode with
-    | `Single ->
-        site.store <-
-          Recovery.replay_site ?ckpt:t.env.Intf.checkpoint
-            ~keyspace:t.env.Intf.keyspace ~size:t.env.Intf.store_hint
-            ~obs:t.env.Intf.obs ~engine:t.env.Intf.engine ~site:site_id
-            site.hist
-    | `Multi ->
-        (* The log holds Append ops; replaying them naively is arrival
-           order, but the latest-version view is last-writer-wins on the
-           stamp — rebuild both images timestamp-aware.  When the run
-           checkpoints, both images start from copies of the newest
-           snapshot pair and only the log tail folds on top (Append is
-           idempotent and Timed_write is latest-writer-wins, so a tail
-           action already absorbed by the snapshot would be harmless
-           anyway). *)
-        let ckpt = t.env.Intf.checkpoint in
-        let store =
-          match Option.bind ckpt (fun c -> Checkpoint.base c ~site:site_id) with
-          | Some base -> base
-          | None ->
-              Store.create ~size:t.env.Intf.store_hint
-                ~keyspace:t.env.Intf.keyspace ()
-        in
-        let mv =
-          match Option.bind ckpt (fun c -> Checkpoint.base_mv c ~site:site_id) with
-          | Some base -> base
-          | None ->
-              Mvstore.create ~size:t.env.Intf.store_hint
-                ~keyspace:t.env.Intf.keyspace ()
-        in
-        let actions = Hist.actions site.hist in
-        List.iter
-          (fun { Et.key; op; _ } ->
-            match op with
-            | Op.Append { ts; value } ->
-                ignore (Mvstore.append mv key ~ts value);
-                ignore (Store.apply store key (Op.Timed_write { ts; value }))
-            | Op.Read -> ()
-            | Op.Write _ | Op.Incr _ | Op.Mult _ | Op.Div _ | Op.Timed_write _
-              ->
-                invalid_arg "RITU: non-append update in a multi-version log")
-          actions;
-        Mvstore.advance_vtnc mv (Mvstore.vtnc site.mv);
-        site.store <- store;
-        site.mv <- mv;
-        Recovery.emit_replay ~obs:t.env.Intf.obs ~engine:t.env.Intf.engine
-          ~site:site_id ~n_actions:(List.length actions);
-        Option.iter
-          (fun c ->
-            Checkpoint.note_tail_replay c ~site:site_id
-              ~len:(Hist.length site.hist))
-          ckpt
-  end
+(* [`Multi] recovery: the log holds Append ops; replaying them naively is
+   arrival order, but the latest-version view is last-writer-wins on the
+   stamp — rebuild both images timestamp-aware.  When the run
+   checkpoints, both images start from copies of the newest snapshot pair
+   and only the log tail folds on top (Append is idempotent and
+   Timed_write is latest-writer-wins, so a tail action already absorbed by
+   the snapshot would be harmless anyway). *)
+let rebuild_multi t site () =
+  let ckpt = t.env.Intf.checkpoint in
+  let id = site.d.id in
+  let store =
+    match Option.bind ckpt (fun c -> Checkpoint.base c ~site:id) with
+    | Some base -> base
+    | None -> Replica_site.empty_store t.env
+  in
+  let mv =
+    match Option.bind ckpt (fun c -> Checkpoint.base_mv c ~site:id) with
+    | Some base -> base
+    | None ->
+        Mvstore.create ~size:t.env.Intf.store_hint ~keyspace:t.env.Intf.keyspace ()
+  in
+  List.iter
+    (fun { Et.key; op; _ } ->
+      match op with
+      | Op.Append { ts; value } ->
+          ignore (Mvstore.append mv key ~ts value);
+          ignore (Store.apply store key (Op.Timed_write { ts; value }))
+      | Op.Read -> ()
+      | Op.Write _ | Op.Incr _ | Op.Mult _ | Op.Div _ | Op.Timed_write _ ->
+          invalid_arg "RITU: non-append update in a multi-version log")
+    (Hist.actions site.d.hist);
+  Mvstore.advance_vtnc mv (Mvstore.vtnc site.mv);
+  site.d.store <- store;
+  site.mv <- mv
 
-let checkpoint t ~site:site_id =
-  match t.env.Intf.checkpoint with
-  | None -> ()
-  | Some c ->
-      let site = t.sites.(site_id) in
-      if not site.down then begin
-        let reclaimed = Squeue.gc_site t.fabric ~site:site_id in
-        site.hist <-
-          (match t.mode with
-          | `Single ->
-              Checkpoint.cut c ~engine:t.env.Intf.engine ~site:site_id
-                ~store:site.store ~hist:site.hist ~reclaimed ()
-          | `Multi ->
-              (* Snapshot the version store alongside the latest-writer
-                 image: Multi recovery rebuilds both. *)
-              Checkpoint.cut c ~engine:t.env.Intf.engine ~site:site_id
-                ~mv:site.mv ~store:site.store ~hist:site.hist ~reclaimed ())
-      end
+let on_recover t ~site =
+  let site = t.sites.(site) in
+  let rebuild =
+    match t.mode with `Single -> None | `Multi -> Some (rebuild_multi t site)
+  in
+  ignore (Replica_site.recover ?rebuild t.env site.d)
+
+(* [`Multi] snapshots the version store alongside the latest-writer image:
+   its recovery rebuilds both. *)
+let checkpoint t ~site =
+  let site = t.sites.(site) in
+  let mv = match t.mode with `Single -> None | `Multi -> Some site.mv in
+  Replica_site.checkpoint ?mv t.env site.d t.fabric
 
 let quiescent _ = true
 (* RITU keeps no protocol state beyond the transport: once the stable
@@ -421,44 +360,33 @@ let backlog _ = 0
 (* Same reason: all outstanding work is in the stable queues, which the
    series already samples through the squeue registry gauges. *)
 
-let store t ~site = t.sites.(site).store
+let sites t = t.durable
 
 let mvstore t ~site =
   match t.mode with `Single -> None | `Multi -> Some t.sites.(site).mv
 
-let history t ~site = t.sites.(site).hist
-
 let converged t =
-  if t.full then
-    let reference = t.sites.(0) in
-    Array.for_all
-      (fun site ->
-        Store.equal site.store reference.store
-        && (t.mode = `Single || Mvstore.equal site.mv reference.mv))
-      t.sites
-  else begin
-    let sh = t.env.Intf.sharding in
-    let ks = t.env.Intf.keyspace in
-    Sharding.converged sh ~keyspace:ks ~store:(fun site -> t.sites.(site).store)
-    && (t.mode = `Single
-       ||
-       (* Replicas of a shard must also agree on the full version lists of
-          its keys, not just the latest-writer view. *)
-       let ok = ref true in
-       let id = ref 0 in
-       let n = Keyspace.size ks in
-       while !ok && !id < n do
-         let key = Keyspace.name ks !id in
-         let reps = Sharding.replicas sh (Sharding.shard_of_id sh !id) in
-         let reference = Mvstore.versions t.sites.(reps.(0)).mv key in
-         for i = 1 to Array.length reps - 1 do
-           if !ok && Mvstore.versions t.sites.(reps.(i)).mv key <> reference
-           then ok := false
-         done;
-         incr id
+  Replica_site.converged t.env t.durable
+  && (t.mode = `Single
+     ||
+     (* Replicas of a shard must also agree on the full version lists of
+        its keys, not just the latest-writer view. *)
+     let sh = t.env.Intf.sharding in
+     let ks = t.env.Intf.keyspace in
+     let ok = ref true in
+     let id = ref 0 in
+     let n = Keyspace.size ks in
+     while !ok && !id < n do
+       let key = Keyspace.name ks !id in
+       let reps = Sharding.replicas sh (Sharding.shard_of_id sh !id) in
+       let reference = Mvstore.versions t.sites.(reps.(0)).mv key in
+       for i = 1 to Array.length reps - 1 do
+         if !ok && Mvstore.versions t.sites.(reps.(i)).mv key <> reference then
+           ok := false
        done;
-       !ok)
-  end
+       incr id
+     done;
+     !ok)
 
 let stats t =
   [
@@ -470,15 +398,4 @@ let stats t =
     ("vtnc_reads", float_of_int t.n_vtnc_reads);
   ]
 
-(* RITU applies on receipt (stale stamps are ignored or become versions),
-   so there is no receipt journal; the WAL fields stay zero. *)
-let resources t ~site:site_id =
-  let site = t.sites.(site_id) in
-  {
-    Intf.no_resources with
-    Intf.log_entries = Hist.length site.hist;
-    log_bytes = Hist.approx_bytes site.hist;
-    journal_depth = Squeue.journal_depth t.fabric ~site:site_id;
-    journal_enqueued = Squeue.journaled t.fabric ~site:site_id;
-    store_words = Store.live_words site.store;
-  }
+let resources t ~site = Replica_site.resources t.durable.(site) t.fabric

@@ -28,7 +28,6 @@ module Op = Esr_store.Op
 module Store = Esr_store.Store
 module Keyspace = Esr_store.Keyspace
 module Sharding = Esr_store.Sharding
-module Hist = Esr_core.Hist
 module Et = Esr_core.Et
 module Lock_table = Esr_cc.Lock_table
 module Lock_mgr = Esr_cc.Lock_mgr
@@ -51,10 +50,9 @@ type coord_state = {
   c_et : Et.id;
   c_site : int;  (* the coordinator's site id *)
   c_ops : (string * Op.t) list;
-  c_parts : int array option;
-      (* participant sites (ascending) under partial replication: the
-         union of the touched shards' replica sets; [None] = every site
-         (full replication, the historical write-all) *)
+  c_parts : int array;
+      (* participant sites (ascending): the union of the touched shards'
+         replica sets — every site under full placement (write-all) *)
   mutable c_votes : int;  (* votes still awaited *)
   mutable c_acks : int;  (* completion acks still awaited *)
   mutable c_aborted : bool;
@@ -72,9 +70,7 @@ type waiting_q = {
 }
 
 type site = {
-  id : int;
-  mutable store : Store.t;  (* volatile image; rebuilt from [hist] *)
-  mutable hist : Hist.t;  (* the durable log *)
+  d : Replica_site.t;  (* the durable half: id, store, log, down flag *)
   locks : Lock_mgr.t;
       (* prepared W-locks are durable (classic prepared-state-in-the-WAL);
          query R-requests are cancelled at crash, so the table never holds
@@ -88,13 +84,12 @@ type site = {
       (* prepares this site voted no on whose decision has not arrived:
          that decision must not leave a tombstone *)
   mutable waiting : waiting_q list;
-  mutable down : bool;
 }
 
 type t = {
   env : Intf.env;
-  full : bool;  (* replication factor = sites: historical write-all path *)
   dests : Sharding.Dests.t;  (* reusable routing cursor (submit path) *)
+  durable : Replica_site.t array;
   sites : site array;
   fabric : msg Squeue.t;
   coords : (Et.id, coord_state) Hashtbl.t;
@@ -120,9 +115,6 @@ let meta =
     async_propagation = "None";
     sorting_time = "at commit";
   }
-
-let log_action site ~et ~key op =
-  site.hist <- Hist.append site.hist (Et.action ~et ~key op)
 
 (* Acquire [requests] one at a time on [locks]; [fail] runs on a deadlock
    refusal (locks already granted to [txn] are released). *)
@@ -167,41 +159,18 @@ let rec receive t ~site:site_id msg =
                included when it participates.  The fan-out is 2PC's update
                propagation, so it carries the Propagate profiling phase. *)
             let fan_out () =
-              match coord.c_parts with
-              | None ->
-                  for dst = 0 to Array.length t.sites - 1 do
-                    post t ~src:coord.c_site ~dst
-                      (Prepare { et; ops = coord.c_ops; coordinator = coord.c_site })
-                  done
-              | Some parts ->
-                  Array.iter
-                    (fun dst ->
-                      post t ~src:coord.c_site ~dst
-                        (Prepare
-                           { et; ops = coord.c_ops; coordinator = coord.c_site }))
-                    parts
+              Array.iter
+                (fun dst ->
+                  post t ~src:coord.c_site ~dst
+                    (Prepare { et; ops = coord.c_ops; coordinator = coord.c_site }))
+                coord.c_parts
             in
-            let prof = t.env.Intf.obs.Esr_obs.Obs.prof in
-            if Prof.on prof then begin
-              let t0 = Prof.start prof in
-              let a0 = Prof.alloc0 prof in
-              fan_out ();
-              Prof.record prof ~site:coord.c_site Prof.Propagate ~t0 ~a0
-            end
-            else fan_out ()
+            Replica_site.timed t.env ~site:coord.c_site Prof.Propagate fan_out
           end)
   | Prepare { et; ops; coordinator } ->
       (* A participant locks, logs and applies only the ops of the shards
          it replicates (it joined the union for at least one of them). *)
-      let ops =
-        if t.full then ops
-        else
-          List.filter
-            (fun (key, _) ->
-              Sharding.replicates_id t.env.Intf.sharding ~site:site_id
-                ~id:(Keyspace.find t.env.Intf.keyspace key))
-            ops
-      in
+      let ops = Replica_site.replicated_ops t.env ~site:site_id ops in
       let requests =
         List.map (fun (key, op) -> (key, Lock_table.W, Some op)) ops
       in
@@ -243,24 +212,17 @@ let rec receive t ~site:site_id msg =
             if Trace.on trace then
               Trace.emit trace ~time:(Engine.now t.env.engine)
                 (Trace.Mset_applied
-                   { et; site = site.id; n_ops = List.length ops; order = None });
+                   { et; site = site_id; n_ops = List.length ops; order = None });
             let apply () =
               List.iter
                 (fun (key, op) ->
-                  (match Store.apply_unit site.store key op with
+                  (match Store.apply_unit site.d.store key op with
                   | Ok () -> ()
                   | Error _ -> invalid_arg "2PC: op failed to apply");
-                  log_action site ~et ~key op)
+                  Replica_site.log_action site.d ~et ~key op)
                 ops
             in
-            let prof = t.env.Intf.obs.Esr_obs.Obs.prof in
-            if Prof.on prof then begin
-              let t0 = Prof.start prof in
-              let a0 = Prof.alloc0 prof in
-              apply ();
-              Prof.record prof ~site:site.id Prof.Apply ~t0 ~a0
-            end
-            else apply ()
+            Replica_site.timed t.env ~site:site_id Prof.Apply apply
           end;
           Lock_mgr.release_all site.locks ~txn:et);
       post t ~src:site_id ~dst:coordinator (Done { et })
@@ -272,7 +234,7 @@ let rec receive t ~site:site_id msg =
    traffic. *)
 and post t ~src ~dst msg =
   if src = dst then
-    if t.sites.(dst).down then
+    if t.durable.(dst).down then
       t.deferred_local <- (dst, msg) :: t.deferred_local
     else receive t ~site:dst msg
   else Squeue.send t.fabric ~src ~dst msg
@@ -308,15 +270,9 @@ and send_decision t coord ~commit =
     post t ~src:coord.c_site ~dst
       (Decision { et = coord.c_et; commit; coordinator = coord.c_site; prepared })
   in
-  let prepared = coord.c_fanned in
-  match coord.c_parts with
-  | None ->
-      for dst = 0 to Array.length t.sites - 1 do
-        msg ~prepared dst
-      done
-  | Some parts ->
-      if Array.length parts = 0 || parts.(0) <> 0 then msg ~prepared:false 0;
-      Array.iter (msg ~prepared) parts
+  let parts = coord.c_parts in
+  if Array.length parts = 0 || parts.(0) <> 0 then msg ~prepared:false 0;
+  Array.iter (msg ~prepared:coord.c_fanned) parts
 
 and coordinator_done t et =
   match Hashtbl.find_opt t.coords et with
@@ -326,43 +282,36 @@ and coordinator_done t et =
       if coord.c_acks = 0 then Hashtbl.remove t.coords et
 
 let create (env : Intf.env) =
+  let durable = Replica_site.create env in
   let rec t =
     lazy
-      (let fabric =
-         Squeue.create ~mode:Squeue.Unordered
-           ~retry_interval:env.Intf.config.Intf.retry_interval
-           ?backoff:env.Intf.config.Intf.retry_backoff
-           ~obs:env.Intf.obs env.Intf.net
-           ~handler:(fun ~site ~src:_ msg -> receive (Lazy.force t) ~site msg)
-       in
-       {
-         env;
-         full = Sharding.is_full env.Intf.sharding;
-         dests = Sharding.Dests.cursor env.Intf.sharding;
-         sites =
-           Array.init env.Intf.sites (fun id ->
-               {
-                 id;
-                 store =
-                   Store.create ~size:env.Intf.store_hint
-                     ~keyspace:env.Intf.keyspace ();
-                 hist = Hist.empty;
-                 locks = Lock_mgr.create ~table:Lock_table.standard ();
-                 prepared = Hashtbl.create 16;
-                 aborted = Hashtbl.create 16;
-                 refused = Hashtbl.create 16;
-                 waiting = [];
-                 down = false;
-               });
-         fabric;
-         coords = Hashtbl.create 32;
-         deferred_local = [];
-         global_locks = Lock_mgr.create ~table:Lock_table.standard ();
-         n_updates = 0;
-         n_queries = 0;
-         n_aborted = 0;
-         n_lock_waits = 0;
-       })
+      {
+        env;
+        dests = Sharding.Dests.cursor env.Intf.sharding;
+        durable;
+        sites =
+          Array.map
+            (fun d ->
+              {
+                d;
+                locks = Lock_mgr.create ~table:Lock_table.standard ();
+                prepared = Hashtbl.create 16;
+                aborted = Hashtbl.create 16;
+                refused = Hashtbl.create 16;
+                waiting = [];
+              })
+            durable;
+        fabric =
+          Replica_site.fabric env ~mode:Squeue.Unordered (fun ~site ~src:_ msg ->
+              receive (Lazy.force t) ~site msg);
+        coords = Hashtbl.create 32;
+        deferred_local = [];
+        global_locks = Lock_mgr.create ~table:Lock_table.standard ();
+        n_updates = 0;
+        n_queries = 0;
+        n_aborted = 0;
+        n_lock_waits = 0;
+      }
   in
   Lazy.force t
 
@@ -372,7 +321,7 @@ let intent_to_op = function
   | Intf.Mul (k, f) -> (k, Op.Mult f)
 
 let submit_update t ~origin intents notify =
-  if t.sites.(origin).down then notify (Intf.Rejected "origin site down")
+  if t.durable.(origin).down then notify (Intf.Rejected "origin site down")
   else if intents = [] then notify (Intf.Rejected "empty update ET")
   else begin
     t.n_updates <- t.n_updates + 1;
@@ -388,35 +337,23 @@ let submit_update t ~origin intents notify =
              n_ops = List.length ops;
              keys = List.map fst ops;
            });
-    let n = t.env.Intf.sites in
-    let parts =
-      if t.full then None
-      else begin
-        (* Participants: the union of the touched shards' replica sets
-           (keys interned here so every later lookup agrees on the shard). *)
-        let c = t.dests in
-        Sharding.Dests.reset c;
-        List.iter
-          (fun (key, _) ->
-            Sharding.Dests.add_id c (Keyspace.intern t.env.Intf.keyspace key))
-          ops;
-        let arr = Array.make (Sharding.Dests.count c) 0 in
-        let i = ref 0 in
-        Sharding.Dests.iter c (fun s ->
-            arr.(!i) <- s;
-            incr i);
-        Some arr
-      end
-    in
-    let votes = match parts with None -> n | Some p -> Array.length p in
-    let acks =
-      match parts with
-      | None -> n
-      | Some p ->
-          (* Every participant acks its decision, and so does the lock
-             service at site 0 when it is not itself a participant. *)
-          Array.length p + (if Array.length p > 0 && p.(0) = 0 then 0 else 1)
-    in
+    (* Participants: the union of the touched shards' replica sets (keys
+       interned here so every later lookup agrees on the shard). *)
+    let c = t.dests in
+    Sharding.Dests.reset c;
+    List.iter
+      (fun (key, _) ->
+        Sharding.Dests.add_id c (Keyspace.intern t.env.Intf.keyspace key))
+      ops;
+    let parts = Array.make (Sharding.Dests.count c) 0 in
+    let i = ref 0 in
+    Sharding.Dests.iter c (fun s ->
+        parts.(!i) <- s;
+        incr i);
+    let votes = Array.length parts in
+    (* Every participant acks its decision, and so does the lock service
+       at site 0 when it is not itself a participant. *)
+    let acks = votes + if votes > 0 && parts.(0) = 0 then 0 else 1 in
     let coord =
       {
         c_et = et;
@@ -458,7 +395,7 @@ let submit_query t ~site:site_id ~keys ~epsilon k =
        flagged degraded (2PC's normal path is always consistent). *)
     k
       {
-        Intf.values = List.map (fun key -> (key, Store.get site.store key)) keys;
+        Intf.values = List.map (fun key -> (key, Store.get site.d.store key)) keys;
         charged = 0;
         forced = 0;
         consistent_path = false;
@@ -466,7 +403,7 @@ let submit_query t ~site:site_id ~keys ~epsilon k =
         served_at = Engine.now t.env.engine;
       }
   in
-  if site.down then degraded ()
+  if site.d.down then degraded ()
   else begin
     let rec attempt wq =
       if wq.wq_done then ()
@@ -483,8 +420,8 @@ let submit_query t ~site:site_id ~keys ~epsilon k =
               let values =
                 List.map
                   (fun key ->
-                    log_action site ~et ~key Op.Read;
-                    (key, Store.get site.store key))
+                    Replica_site.log_action site.d ~et ~key Op.Read;
+                    (key, Store.get site.d.store key))
                   keys
               in
               Lock_mgr.release_all site.locks ~txn:et;
@@ -523,54 +460,48 @@ let flush _ = ()
 
 let on_crash t ~site:site_id =
   let site = t.sites.(site_id) in
-  if not site.down then begin
-    site.down <- true;
-    (* Prepared transactions survive (prepared-state-in-the-WAL keeps
-       their W-locks held — the classic 2PC blocking window); what dies
-       is the volatile wait contexts: queries queued on locks fail
-       degraded and their requests are cancelled. *)
-    let waiting = site.waiting in
-    site.waiting <- [];
-    List.iter
-      (fun wq ->
-        if not wq.wq_done then begin
-          wq.wq_done <- true;
-          wq.wq_fail ()
-        end)
-      waiting;
-    (* The crashed site was the coordinator of its undecided update ETs:
-       presumed abort.  Remote participants learn the abort once the
-       stable queue reaches them; the local record is replayed at
-       recovery. *)
-    let orphaned =
-      Hashtbl.fold
-        (fun et coord acc ->
-          if coord.c_site = site_id && not coord.c_decided then
-            (et, coord) :: acc
-          else acc)
-        t.coords []
-      |> List.sort (fun (a, _) (b, _) -> compare a b)
-    in
-    List.iter
-      (fun (_, coord) ->
-        coord.c_decided <- true;
-        t.n_aborted <- t.n_aborted + 1;
-        coord.c_notify (Intf.Rejected "2PC: aborted (origin site crashed)");
-        send_decision t coord ~commit:false)
-      orphaned;
-    Recovery.emit_volatile_dropped ~obs:t.env.Intf.obs ~engine:t.env.Intf.engine
-      ~site:site_id ~buffered:0 ~queries_failed:(List.length waiting)
-      ~updates_rejected:(List.length orphaned) ~log:(Hist.length site.hist)
-  end
+  Replica_site.crash t.env site.d (fun () ->
+      (* Prepared transactions survive (prepared-state-in-the-WAL keeps
+         their W-locks held — the classic 2PC blocking window); what dies
+         is the volatile wait contexts: queries queued on locks fail
+         degraded and their requests are cancelled. *)
+      let waiting = site.waiting in
+      site.waiting <- [];
+      List.iter
+        (fun wq ->
+          if not wq.wq_done then begin
+            wq.wq_done <- true;
+            wq.wq_fail ()
+          end)
+        waiting;
+      (* The crashed site was the coordinator of its undecided update ETs:
+         presumed abort.  Remote participants learn the abort once the
+         stable queue reaches them; the local record is replayed at
+         recovery. *)
+      let orphaned =
+        Hashtbl.fold
+          (fun et coord acc ->
+            if coord.c_site = site_id && not coord.c_decided then
+              (et, coord) :: acc
+            else acc)
+          t.coords []
+        |> List.sort (fun (a, _) (b, _) -> compare a b)
+      in
+      List.iter
+        (fun (_, coord) ->
+          coord.c_decided <- true;
+          t.n_aborted <- t.n_aborted + 1;
+          coord.c_notify (Intf.Rejected "2PC: aborted (origin site crashed)");
+          send_decision t coord ~commit:false)
+        orphaned;
+      {
+        Replica_site.buffered = 0;
+        queries_failed = List.length waiting;
+        updates_rejected = List.length orphaned;
+      })
 
 let on_recover t ~site:site_id =
-  let site = t.sites.(site_id) in
-  if site.down then begin
-    site.down <- false;
-    site.store <-
-      Recovery.replay_site ?ckpt:t.env.Intf.checkpoint
-        ~keyspace:t.env.Intf.keyspace ~size:t.env.Intf.store_hint
-        ~obs:t.env.Intf.obs ~engine:t.env.Intf.engine ~site:site_id site.hist;
+  if Replica_site.recover t.env t.durable.(site_id) then begin
     (* Replay the site's own 2PC records that landed while it was down. *)
     let mine, others =
       List.partition (fun (s, _) -> s = site_id) (List.rev t.deferred_local)
@@ -579,17 +510,7 @@ let on_recover t ~site:site_id =
     List.iter (fun (_, msg) -> receive t ~site:site_id msg) mine
   end
 
-let checkpoint t ~site:site_id =
-  match t.env.Intf.checkpoint with
-  | None -> ()
-  | Some c ->
-      let site = t.sites.(site_id) in
-      if not site.down then begin
-        let reclaimed = Squeue.gc_site t.fabric ~site:site_id in
-        site.hist <-
-          Checkpoint.cut c ~engine:t.env.Intf.engine ~site:site_id
-            ~store:site.store ~hist:site.hist ~reclaimed ()
-      end
+let checkpoint t ~site = Replica_site.checkpoint t.env t.durable.(site) t.fabric
 
 let tombstones t =
   Array.fold_left
@@ -605,17 +526,9 @@ let locked_keys t =
 let quiescent t = Hashtbl.length t.coords = 0 && t.deferred_local = []
 let backlog t = Hashtbl.length t.coords + List.length t.deferred_local
 
-let store t ~site = t.sites.(site).store
+let sites t = t.durable
 let mvstore _ ~site:_ = None
-let history t ~site = t.sites.(site).hist
-
-let converged t =
-  if t.full then
-    let reference = t.sites.(0).store in
-    Array.for_all (fun site -> Store.equal site.store reference) t.sites
-  else
-    Sharding.converged t.env.Intf.sharding ~keyspace:t.env.Intf.keyspace
-      ~store:(fun site -> t.sites.(site).store)
+let converged t = Replica_site.converged t.env t.durable
 
 let stats t =
   [
@@ -625,15 +538,4 @@ let stats t =
     ("lock_waits", float_of_int t.n_lock_waits);
   ]
 
-(* 2PC's durable protocol state is the prepared table, not a receipt
-   journal, so the WAL fields stay zero. *)
-let resources t ~site:site_id =
-  let site = t.sites.(site_id) in
-  {
-    Intf.no_resources with
-    Intf.log_entries = Hist.length site.hist;
-    log_bytes = Hist.approx_bytes site.hist;
-    journal_depth = Squeue.journal_depth t.fabric ~site:site_id;
-    journal_enqueued = Squeue.journaled t.fabric ~site:site_id;
-    store_words = Store.live_words site.store;
-  }
+let resources t ~site = Replica_site.resources t.durable.(site) t.fabric

@@ -796,10 +796,13 @@ let run_sharded ?sharding ~seed ~sites ~n_updates name =
   let hists = List.init sites (fun s -> Harness.history h ~site:s) in
   (h, (settled, !committed, snaps, hists))
 
-(* A replication factor of n_sites must be invisible: the default env
-   (no shard map), an explicit All-policy map, and a Ring map with
-   factor = sites must all produce identical observables for every one
-   of the seven methods. *)
+(* The three spellings of full placement — the default env (no shard
+   map), an explicit All-policy map, and a Ring map with factor = sites
+   — must produce identical observables for every one of the seven
+   methods.  [Sharding.create] normalises all three to the All layout,
+   so this pins the normalisation only: the methods run one shard-routed
+   path for every placement, and the pinned digests below hold its
+   output fixed under full and partial placement alike. *)
 let prop_sharding_identity =
   QCheck.Test.make
     ~name:"factor = sites reproduces full replication (all 7 methods)"
@@ -879,6 +882,114 @@ let test_sharding_fanout_scales_with_factor () =
         true
         (shard <= full *. 0.5))
     all_methods
+
+(* --- pinned per-method digests --- *)
+
+(* One seeded run per method and placement (full, and ring factor 2 over
+   five sites), with a crash/recover window, checkpoint cuts every 90
+   virtual ms up to t=1000, COMPE aborts and epsilon-limited queries.
+   The digest hashes everything the run leaves behind: settle outcome,
+   client outcomes, per-site snapshots and durable histories, the
+   method's counters and every site's resource footprint.  The expected
+   values were recorded before the replica substrate was factored out of
+   the seven methods; any change to what a method computes, logs,
+   journals or sends moves them. *)
+module Checkpoint = Esr_replica.Checkpoint
+module Schedule = Esr_fault.Schedule
+
+let run_digest ~ring name =
+  let sites = 5 in
+  let sharding =
+    if ring then
+      Some (Sharding.create ~policy:Sharding.Ring ~shards:7 ~factor:2 ~sites ())
+    else None
+  in
+  let h =
+    Harness.create
+      ~config:{ default with compe_abort_probability = 0.25 }
+      ~net_config:jittery ~seed:17 ?sharding
+      ~checkpoint:{ Checkpoint.interval = 90.0; retain = 2 }
+      ~sites ~method_name:name ()
+  in
+  Harness.arm_checkpoints h ~until:1_000.0;
+  let schedule =
+    match Schedule.of_spec "crash@403:2;recover@911:2" with
+    | Ok s -> s
+    | Error e -> failwith e
+  in
+  let b = Buffer.create 4096 in
+  let add fmt = Printf.bprintf b fmt in
+  let engine = Harness.engine h in
+  let workload h =
+    for i = 0 to 59 do
+      ignore
+        (Engine.schedule_at engine
+           ~time:(float_of_int (i + 1) *. 19.0)
+           (fun () ->
+             let k j = Printf.sprintf "k%d" (j mod 11) in
+             let intents =
+               match name with
+               | "QUORUM" -> [ Intf.Set (k i, Value.int i) ]
+               | "RITU" ->
+                   [ Intf.Set (k i, Value.int i); Intf.Set (k (3 * i), Value.int (-i)) ]
+               | _ -> [ Intf.Add (k i, 1 + (i mod 3)); Intf.Add (k (3 * i), 2) ]
+             in
+             Harness.submit_update h ~origin:(i mod sites) intents (function
+               | Intf.Committed { committed_at } -> add "u%d c %h\n" i committed_at
+               | Intf.Rejected r -> add "u%d r %s\n" i r);
+             if i mod 3 = 0 then
+               Harness.submit_query h ~site:((i / 3) mod sites)
+                 ~keys:[ k i; k (i + 5) ] ~epsilon:(Epsilon.Limit 1)
+                 (fun o ->
+                   add "q%d %d %d %b %h %h" i o.Intf.charged o.Intf.forced
+                     o.Intf.consistent_path o.Intf.started_at o.Intf.served_at;
+                   List.iter
+                     (fun (key, v) -> add " %s=%s" key (Value.to_string v))
+                     o.Intf.values;
+                   add "\n")))
+    done
+  in
+  (match Harness.run_with_faults h ~schedule ~workload with
+  | Harness.Drained -> add "drained %b\n" (Harness.converged h)
+  | Harness.Stuck r -> add "stuck %s\n" (Harness.stuck_reason_to_string r));
+  for site = 0 to sites - 1 do
+    add "site %d\n" site;
+    List.iter
+      (fun (key, v) -> add "%s=%s;" key (Value.to_string v))
+      (Store.snapshot (Harness.store h ~site));
+    add "\n%s\n" (Esr_core.Hist.to_string (Harness.history h ~site));
+    let r = Intf.boxed_resources (Harness.system h) ~site in
+    add "res %d %d %d %d %d %d %d %d\n" r.Intf.log_entries r.Intf.log_bytes
+      r.Intf.wal_entries r.Intf.wal_appended r.Intf.wal_high_water
+      r.Intf.journal_depth r.Intf.journal_enqueued r.Intf.store_words
+  done;
+  List.iter (fun (s, v) -> add "%s %h\n" s v) (Harness.stats_alist h);
+  Digest.to_hex (Digest.string (Buffer.contents b))
+
+let pinned_digests =
+  [
+    ("ORDUP",
+     ("61de07060acadb0b09a80a95168a11cb", "ea9a5726c301f44c010bf68e0b8632bb"));
+    ("COMMU",
+     ("ca39f4b96f4d731cee211f385565484f", "f4f24ab5eeff736f65ae67a1ab825297"));
+    ("RITU",
+     ("66d975f925f5c11bf47ab5e008f142d1", "36a2eb64a5284cd1f5c821823e962d44"));
+    ("COMPE",
+     ("eb55853e598f31c719455778488493e8", "1aa28c258d1ce44bc438b5d59ba2b580"));
+    ("2PC",
+     ("a7a658cd6be85b57e7ce3e0347351902", "60d58f0b0d052476e0ebea91a3a0d59b"));
+    ("QUORUM",
+     ("d44c7f5a6a2bc63949c8fdf3e511a32d", "5baafeae1c0fa02e1969dba799386646"));
+    ("QUASI",
+     ("78608fa2ea48d0b2f3974f7ac8944956", "b377856b109168e365a5693e0366d118"));
+  ]
+
+let test_pinned_digest name () =
+  let full, ring = List.assoc name pinned_digests in
+  Alcotest.(check string) (name ^ " full placement") full
+    (run_digest ~ring:false name);
+  Alcotest.(check string) (name ^ " ring factor 2") ring
+    (run_digest ~ring:true name)
 
 let () =
   Alcotest.run "esr_replica"
@@ -986,4 +1097,10 @@ let () =
           Alcotest.test_case "fanout scales with factor" `Quick
             test_sharding_fanout_scales_with_factor;
         ] );
+      ( "digest",
+        List.map
+          (fun name ->
+            Alcotest.test_case (name ^ " pinned digest") `Quick
+              (test_pinned_digest name))
+          all_methods );
     ]

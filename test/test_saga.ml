@@ -38,6 +38,8 @@ let settle engine sys =
   in
   loop 10
 
+let store sys ~site = (Compe.sites sys).(site).Intf.store
+
 let stat sys name =
   match List.assoc_opt name (Compe.stats sys) with
   | Some v -> int_of_float v
@@ -60,9 +62,9 @@ let test_saga_commits_all_steps () =
   | Some (Intf.Rejected m) -> Alcotest.fail m
   | None -> Alcotest.fail "saga never finished");
   for site = 0 to 2 do
-    Alcotest.check value_t "stock" (Value.int (-2)) (Store.get (Compe.store sys ~site) "stock");
-    Alcotest.check value_t "reserved" (Value.int 2) (Store.get (Compe.store sys ~site) "reserved");
-    Alcotest.check value_t "shipped" (Value.int 2) (Store.get (Compe.store sys ~site) "shipped")
+    Alcotest.check value_t "stock" (Value.int (-2)) (Store.get (store sys ~site) "stock");
+    Alcotest.check value_t "reserved" (Value.int 2) (Store.get (store sys ~site) "reserved");
+    Alcotest.check value_t "shipped" (Value.int 2) (Store.get (store sys ~site) "shipped")
   done;
   checkb "converged" true (Compe.converged sys);
   checki "one saga" 1 (stat sys "sagas");
@@ -117,8 +119,8 @@ let test_saga_abort_at_first_step_is_clean () =
   | Some (Intf.Committed _) -> Alcotest.fail "cannot commit with p=1"
   | None -> Alcotest.fail "saga never finished");
   for site = 0 to 2 do
-    Alcotest.check value_t "a reverted" Value.zero (Store.get (Compe.store sys ~site) "a");
-    Alcotest.check value_t "b untouched" Value.zero (Store.get (Compe.store sys ~site) "b")
+    Alcotest.check value_t "a reverted" Value.zero (Store.get (store sys ~site) "a");
+    Alcotest.check value_t "b untouched" Value.zero (Store.get (store sys ~site) "b")
   done;
   checkb "converged" true (Compe.converged sys);
   checki "second step never launched" 0 (stat sys "revokes")
@@ -156,7 +158,7 @@ let test_saga_mixed_outcomes_converge () =
     Alcotest.check value_t
       (Printf.sprintf "ledger at site %d" site)
       (Value.int !committed_total)
-      (Store.get (Compe.store sys ~site) "ledger")
+      (Store.get (store sys ~site) "ledger")
   done;
   checkb "converged" true (Compe.converged sys)
 
@@ -219,7 +221,7 @@ let test_log_fold_invariant () =
     checkb
       (Printf.sprintf "site %d: store = fold(log)" site)
       true
-      (Store.equal folded (Compe.store sys ~site))
+      (Store.equal folded (store sys ~site))
   done;
   checkb "converged" true (Compe.converged sys)
 
