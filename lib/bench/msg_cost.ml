@@ -1,10 +1,10 @@
 (* Words the stable-queue transport allocates per message.  Every site of
    a 50-site fabric broadcasts [rounds] times, 4 ms apart, to a no-op
    handler, and the engine runs to quiescence.  The figure covers all a
-   message costs end to end — journal and dedup entries, the data and ack
-   sends and their engine events, retry ticks — counted as minor + major
-   − promoted words (each allocated word once) and divided by the number
-   of messages.  A minor collection on either side of the run makes the
+   message costs end to end — its share of the journal and dedup rings,
+   the data and ack sends and their engine events, retry ticks — counted
+   as minor + major − promoted words (each allocated word once) and
+   divided by the number of messages.  A minor collection on either side of the run makes the
    count exact: [Gc.counters] credits minor words only as the minor heap
    is collected, so without them the figure would drift with the minor
    heap's fill. *)

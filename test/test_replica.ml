@@ -891,9 +891,10 @@ let test_sharding_fanout_scales_with_factor () =
    The digest hashes everything the run leaves behind: settle outcome,
    client outcomes, per-site snapshots and durable histories, the
    method's counters and every site's resource footprint.  The expected
-   values were recorded before the replica substrate was factored out of
-   the seven methods; any change to what a method computes, logs,
-   journals or sends moves them. *)
+   values hold under randomized hashing ([OCAMLRUNPARAM=R]) as well as
+   the default seed: the stable queues retransmit in sequence order, so
+   nothing a run does depends on hash-table layout.  Any change to what
+   a method computes, logs, journals or sends moves them. *)
 module Checkpoint = Esr_replica.Checkpoint
 module Schedule = Esr_fault.Schedule
 
@@ -969,19 +970,19 @@ let run_digest ~ring name =
 let pinned_digests =
   [
     ("ORDUP",
-     ("61de07060acadb0b09a80a95168a11cb", "ea9a5726c301f44c010bf68e0b8632bb"));
+     ("173cd4a7991885a4abc89e3618974921", "3ee13c6bc16e2d9aac345267aaef9572"));
     ("COMMU",
-     ("ca39f4b96f4d731cee211f385565484f", "f4f24ab5eeff736f65ae67a1ab825297"));
+     ("61ad31cc09a0b76a7a0833d3ff08dd5d", "2f4dde4668fe57fc2e6da26013835501"));
     ("RITU",
-     ("66d975f925f5c11bf47ab5e008f142d1", "36a2eb64a5284cd1f5c821823e962d44"));
+     ("c17f87b2f9f8f20b3883c7374564f854", "fdfad4ec1e91990e46cccea0b5ece359"));
     ("COMPE",
-     ("eb55853e598f31c719455778488493e8", "1aa28c258d1ce44bc438b5d59ba2b580"));
+     ("b6d112cfb6815ff3982f53e9f8e9c1df", "1584c0031ed674441037ff9167f4a7ed"));
     ("2PC",
-     ("a7a658cd6be85b57e7ce3e0347351902", "60d58f0b0d052476e0ebea91a3a0d59b"));
+     ("91c30b75bd5599e4b01dd00fe4959f6e", "0936970beffdc1913a27e53848a0fb30"));
     ("QUORUM",
-     ("d44c7f5a6a2bc63949c8fdf3e511a32d", "5baafeae1c0fa02e1969dba799386646"));
+     ("03f40ed300f1f25bb094e4857ccbc768", "ca49463d084b109d48c6cd9762f32ccd"));
     ("QUASI",
-     ("78608fa2ea48d0b2f3974f7ac8944956", "b377856b109168e365a5693e0366d118"));
+     ("b47b882f2f428070f168c50cb61b408f", "9b820a81ae199d46b86a6ddb3437d3eb"));
   ]
 
 let test_pinned_digest name () =

@@ -184,9 +184,10 @@ let prop_lossy_fifo_always_delivers_in_order =
    spread, while the receiver crashes once and recovers.  Returns how
    often each message reached the handler and how many duplicates arrived
    *late*: while the sender's journal was empty, so the duplicate's seq
-   was certainly acked and its journal entry gone.  Such a duplicate must
-   be dropped by the dedup check alone — a journal lookup for it would
-   raise [Not_found] out of [Engine.run]. *)
+   was certainly acked and its journal slot released.  Such a duplicate
+   must be dropped by the dedup check alone — a journal lookup for it
+   would hand up whatever payload the slot holds now.  Also returns the
+   sender's peak journal depth, the largest window its ring had to hold. *)
 let dup_storm ~mode ~seed ~n ~crash_at ~down_for =
   let config =
     {
@@ -203,8 +204,9 @@ let dup_storm ~mode ~seed ~n ~crash_at ~down_for =
     Squeue.create ~mode ~retry_interval:40.0 ~obs net ~handler:(fun ~site ~src i ->
         if site = 1 && src = 0 then got.(i) <- got.(i) + 1)
   in
-  let late = ref 0 in
+  let late = ref 0 and peak = ref 0 in
   Esr_obs.Trace.attach obs.Esr_obs.Obs.trace (fun r ->
+      peak := max !peak (Squeue.journal_depth q ~site:0);
       match r.Esr_obs.Trace.ev with
       | Esr_obs.Trace.Squeue_dup { src; _ } when Squeue.journal_depth q ~site:src = 0
         ->
@@ -221,7 +223,12 @@ let dup_storm ~mode ~seed ~n ~crash_at ~down_for =
            Squeue.send q ~src:0 ~dst:1 i))
   done;
   Engine.run e;
-  (got, !late, q)
+  (got, !late, !peak, q)
+
+let exactly_once (got, late, _, q) =
+  Array.for_all (( = ) 1) got
+  && Squeue.pending q = 0
+  && (Squeue.counters q).Squeue.duplicates_suppressed >= late
 
 let prop_exactly_once_duplicate_storm =
   QCheck.Test.make
@@ -232,11 +239,7 @@ let prop_exactly_once_duplicate_storm =
         (int_range 50 600))
     (fun (seed, n, crash_at, down_for) ->
       List.for_all
-        (fun mode ->
-          let got, late, q = dup_storm ~mode ~seed ~n ~crash_at ~down_for in
-          Array.for_all (( = ) 1) got
-          && Squeue.pending q = 0
-          && (Squeue.counters q).Squeue.duplicates_suppressed >= late)
+        (fun mode -> exactly_once (dup_storm ~mode ~seed ~n ~crash_at ~down_for))
         [ Squeue.Unordered; Squeue.Fifo ])
 
 let test_late_duplicates_suppressed () =
@@ -244,23 +247,89 @@ let test_late_duplicates_suppressed () =
      vacuous about them. *)
   List.iter
     (fun (name, mode) ->
-      let got, late, _ = dup_storm ~mode ~seed:17 ~n:30 ~crash_at:100 ~down_for:200 in
+      let got, late, _, _ = dup_storm ~mode ~seed:17 ~n:30 ~crash_at:100 ~down_for:200 in
       checkb (name ^ ": exactly once") true (Array.for_all (( = ) 1) got);
       checkb (Printf.sprintf "%s: %d late duplicates" name late) true (late > 0))
     [ ("Unordered", Squeue.Unordered); ("Fifo", Squeue.Fifo) ]
 
+(* The same storm with a backlog: 600 messages, the receiver down from
+   t=500 to t=4000, so the sender's ring — one slot at first — grows past
+   300 outstanding messages, then wraps as the window slides on. *)
+let test_backlog_storm () =
+  List.iter
+    (fun (name, mode) ->
+      let ((_, _, peak, _) as storm) =
+        dup_storm ~mode ~seed:29 ~n:600 ~crash_at:500 ~down_for:3_500
+      in
+      checkb (name ^ ": exactly once") true (exactly_once storm);
+      checkb (Printf.sprintf "%s: journal peaked at %d >= 300" name peak) true (peak >= 300))
+    [ ("Unordered", Squeue.Unordered); ("Fifo", Squeue.Fifo) ]
+
+(* A retry tick retransmits in sequence order, skipping acked seqs.  Seqs
+   0-9 and 30-39 go out on a healthy link and are acked; 10-29 are sent
+   into a partition that is lifted (without the heal hook's immediate
+   kick) before the first tick, so the tick at t=100 is what delivers
+   them.  Constant latency keeps arrival order equal to send order. *)
+let test_retry_in_seq_order () =
+  let e, net, q, received = mk 3 in
+  let send_range lo hi =
+    for i = lo to hi do
+      Squeue.send q ~src:0 ~dst:1 i
+    done
+  in
+  send_range 0 9;
+  ignore
+    (Engine.schedule e ~delay:1.0 (fun () ->
+         Net.partition net [ [ 0 ]; [ 1 ] ];
+         send_range 10 29;
+         Net.partition net [ [ 0; 1 ] ]));
+  ignore (Engine.schedule e ~delay:5.0 (fun () -> send_range 30 39));
+  Engine.run e;
+  Alcotest.(check (list int)) "arrival order"
+    (List.init 10 Fun.id @ List.init 10 (( + ) 30) @ List.init 20 (( + ) 10))
+    (List.rev_map snd received.(1));
+  checki "one retransmission each" 20 (Squeue.counters q).Squeue.retransmissions
+
+(* An acked slot lets go of its payload: of eight acked messages, at most
+   one (the channel's filler) is still reachable from the fabric. *)
+let send_probes q probes =
+  for i = 0 to Weak.length probes - 1 do
+    let payload = Bytes.make 64 (Char.chr (65 + i)) in
+    Weak.set probes i (Some payload);
+    Squeue.send q ~src:0 ~dst:1 payload
+  done
+[@@inline never]
+
+let test_acked_payload_collectable () =
+  let e = Engine.create () in
+  let net = Net.create e ~sites:2 ~prng:(Prng.create 5) in
+  let q = Squeue.create net ~handler:(fun ~site:_ ~src:_ (_ : Bytes.t) -> ()) in
+  let probes = Weak.create 8 in
+  send_probes q probes;
+  Engine.run e;
+  checki "all acked" 0 (Squeue.pending q);
+  Gc.full_major ();
+  let alive = ref 0 in
+  for i = 0 to Weak.length probes - 1 do
+    if Weak.check probes i then incr alive
+  done;
+  checkb (Printf.sprintf "%d of 8 acked payloads still reachable" !alive) true (!alive <= 1);
+  checki "fabric still live" 8 (Squeue.counters (Sys.opaque_identity q)).Squeue.enqueued
+
 (* Allocation budget of the transport: words per stable-queue message on
-   a 50-site broadcast with a no-op handler.  A message costs ~18
-   (Unordered) and ~14 (Fifo) words — its journal and dedup entries plus
-   amortized table growth; the budgets leave headroom for that and fail
-   long before a per-message closure chain (~170 words) could return. *)
+   a 50-site broadcast with a no-op handler.  A message costs ~8.1
+   (Unordered) and ~8.0 (Fifo) words, nearly all of it the data and ack
+   sends through the engine: the journal ring and the dedup window are
+   per-channel arrays, allocated on first use and grown by doubling.  A
+   per-message hash-table entry (4+ words, plus table growth) breaks the
+   budget. *)
 let test_alloc_budget () =
   List.iter
     (fun (name, mode, budget) ->
       let w = Esr_bench.Msg_cost.words_per_message mode in
       checkb (Printf.sprintf "%s: %.1f words/msg <= %.0f" name w budget) true
         (w <= budget))
-    [ ("Unordered", Squeue.Unordered, 45.0); ("Fifo", Squeue.Fifo, 35.0) ]
+    [ ("Unordered", Squeue.Unordered, 11.0); ("Fifo", Squeue.Fifo, 11.0) ]
 
 let () =
   Alcotest.run "esr_squeue"
@@ -292,6 +361,12 @@ let () =
           Alcotest.test_case "allocation budget" `Quick test_alloc_budget;
           Alcotest.test_case "late duplicates suppressed" `Quick
             test_late_duplicates_suppressed;
+          Alcotest.test_case "backlog grows and wraps the ring" `Quick
+            test_backlog_storm;
+          Alcotest.test_case "retries in sequence order" `Quick
+            test_retry_in_seq_order;
+          Alcotest.test_case "acked payloads collectable" `Quick
+            test_acked_payload_collectable;
           QCheck_alcotest.to_alcotest prop_exactly_once_duplicate_storm;
           QCheck_alcotest.to_alcotest prop_lossy_fifo_always_delivers_in_order;
           QCheck_alcotest.to_alcotest prop_exactly_once_under_random_crashes;
