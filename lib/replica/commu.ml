@@ -42,22 +42,13 @@ type msg =
   | Applied of { et : Et.id; by : int }  (** ack back to the origin *)
   | Complete of { et : Et.id; charges : (string * float) list }
 
-(* A parked continuation: [resume] when the counters drain, [fail] when
-   the site crashes and the volatile wait context is lost. *)
-type parked = { resume : unit -> unit; fail : unit -> unit }
-
-(* Registration for an in-step (not parked) query so a crash can reach it:
-   the scheduled step checks [killed] and finishes degraded. *)
-type active_q = { mutable killed : bool }
-
 type site = {
   d : Replica_site.t;  (* the durable half: id, store, log, down flag *)
-  counters : Lock_counter.t;
-      (* derivable from the durable log (applied-but-uncompleted ETs), so
-         recovery keeps them: modelled as durable *)
-  mutable parked_queries : parked list;
-  mutable parked_updates : parked list;
-  mutable active_queries : active_q list;
+  gate : unit Replica_site.gate;
+      (* the lock counters and the counter-gated query walk's waits; the
+         counters are derivable from the durable log (applied-but-
+         uncompleted ETs), so recovery keeps them: modelled as durable *)
+  parked_updates : unit Replica_site.Waits.t;
 }
 
 (* Origin-side record of an update ET awaiting acks from all replicas. *)
@@ -73,9 +64,8 @@ type t = {
   mutable n_updates : int;
   mutable n_queries : int;
   mutable n_rejected : int;
-  mutable n_query_waits : int;
   mutable n_update_waits : int;
-  mutable n_charged_units : int;
+  tally : Replica_site.tally;  (* query waits and charged units *)
 }
 
 let meta =
@@ -86,16 +76,6 @@ let meta =
     async_propagation = "Query & Update";
     sorting_time = "doesn't matter";
   }
-
-let wake_queries site =
-  let waiting = List.rev site.parked_queries in
-  site.parked_queries <- [];
-  List.iter (fun p -> p.resume ()) waiting
-
-let wake_updates site =
-  let waiting = List.rev site.parked_updates in
-  site.parked_updates <- [];
-  List.iter (fun p -> p.resume ()) waiting
 
 let apply_mset_inner t site mset =
   let trace = t.env.Intf.obs.Esr_obs.Obs.trace in
@@ -110,8 +90,9 @@ let apply_mset_inner t site mset =
       if Sharding.replicates_id t.env.Intf.sharding ~site:site.d.id ~id:i.Intf.id
       then begin
         let key = i.Intf.key in
-        ignore (Lock_counter.incr site.counters key);
-        ignore (Lock_counter.add_weight site.counters key (op_weight i.Intf.op));
+        ignore (Lock_counter.incr site.gate.counters key);
+        ignore
+          (Lock_counter.add_weight site.gate.counters key (op_weight i.Intf.op));
         (match Store.apply_id_unit site.d.store i.Intf.id i.Intf.op with
         | Ok () -> ()
         | Error _ -> invalid_arg "COMMU: commutative op failed to apply");
@@ -137,12 +118,12 @@ let complete_at t site charges =
         Sharding.replicates_id t.env.Intf.sharding ~site:site.d.id
           ~id:(Keyspace.find t.env.Intf.keyspace key)
       then begin
-        ignore (Lock_counter.decr site.counters key);
-        ignore (Lock_counter.remove_weight site.counters key w)
+        ignore (Lock_counter.decr site.gate.counters key);
+        ignore (Lock_counter.remove_weight site.gate.counters key w)
       end)
     charges;
-  wake_queries site;
-  wake_updates site
+  Replica_site.Waits.wake site.gate.waits;
+  Replica_site.Waits.wake site.parked_updates
 
 (* Interest set of an ET, rebuilt from its charge keys: the sites that
    replicate at least one touched shard.  Shared scratch cursor — valid
@@ -179,6 +160,7 @@ let receive t ~site:site_id msg =
 
 let create (env : Intf.env) =
   let durable = Replica_site.create env in
+  let tally = { Replica_site.charged = 0; parks = 0 } in
   let rec t =
     lazy
       {
@@ -189,10 +171,8 @@ let create (env : Intf.env) =
             (fun d ->
               {
                 d;
-                counters = Lock_counter.create ~hint:env.Intf.store_hint ();
-                parked_queries = [];
-                parked_updates = [];
-                active_queries = [];
+                gate = Replica_site.gate env tally ();
+                parked_updates = Replica_site.Waits.create ();
               })
             durable;
         fabric =
@@ -203,9 +183,8 @@ let create (env : Intf.env) =
         n_updates = 0;
         n_queries = 0;
         n_rejected = 0;
-        n_query_waits = 0;
         n_update_waits = 0;
-        n_charged_units = 0;
+        tally;
       }
   in
   Lazy.force t
@@ -264,7 +243,8 @@ let submit_update t ~origin intents k =
             | None -> false
             | Some limit ->
                 List.exists
-                  (fun key -> Lock_counter.would_exceed site.counters key ~limit)
+                  (fun key ->
+                    Lock_counter.would_exceed site.gate.counters key ~limit)
                   keys
           in
           let value_exceeds =
@@ -273,7 +253,8 @@ let submit_update t ~origin intents k =
             | Some limit ->
                 List.exists
                   (fun (key, w) ->
-                    Lock_counter.weight_would_exceed site.counters key ~added:w
+                    Lock_counter.weight_would_exceed site.gate.counters key
+                      ~added:w
                       ~limit)
                   charges
           in
@@ -294,20 +275,12 @@ let submit_update t ~origin intents k =
                   t.n_rejected <- t.n_rejected + 1;
                   k (Intf.Rejected "COMMU: origin site crashed while waiting")
                 in
-                site.parked_updates <-
-                  { resume = attempt; fail } :: site.parked_updates
+                ignore
+                  (Replica_site.Waits.park site.parked_updates ~resume:attempt
+                     ~fail ())
           else begin
             let mset = { et; ops; origin } in
-            let trace = t.env.Intf.obs.Esr_obs.Obs.trace in
-            if Trace.on trace then
-              Trace.emit trace ~time:(Engine.now t.env.engine)
-                (Trace.Mset_enqueued
-                   {
-                     et;
-                     origin;
-                     n_ops = List.length ops;
-                     keys = List.map (fun (i : Intf.iop) -> i.Intf.key) ops;
-                   });
+            Replica_site.trace_enqueued t.env ~et ~origin Intf.iop_key ops;
             apply_mset t site mset;
             (* Interest routing: the MSet travels only to sites replicating
                a touched shard.  With the full map that is everybody. *)
@@ -336,121 +309,13 @@ let submit_query t ~site:site_id ~keys ~epsilon k =
   t.n_queries <- t.n_queries + 1;
   let site = t.sites.(site_id) in
   let et = t.env.Intf.next_et () in
-  let eps = Epsilon.create epsilon in
-  let started_at = Engine.now t.env.engine in
-  let waited = ref false in
-  let values = ref [] in
-  if site.d.down then
-    (* Graceful failure: a crashed site answers from its last image,
-       flagged degraded. *)
-    k
-      {
-        Intf.values = List.map (fun key -> (key, Store.get site.d.store key)) keys;
-        charged = 0;
-        forced = 0;
-        consistent_path = false;
-        started_at;
-        served_at = Engine.now t.env.engine;
-      }
-  else
-  (* A strictly serializable query must see an atomic snapshot: since
-     MSets apply atomically per site, it suffices to wait until every key
-     is simultaneously free of in-flight updates and read them all in one
-     event (stepping key by key would splice different serialization
-     points together). *)
-  if epsilon = Epsilon.Limit 0 then begin
-    let rec strict_attempt () =
-      if List.for_all (fun key -> Lock_counter.count site.counters key = 0) keys
-      then begin
-        let snapshot =
-          List.map
-            (fun key ->
-              Replica_site.log_action site.d ~et ~key Op.Read;
-              (key, Store.get site.d.store key))
-            keys
-        in
-        k
-          {
-            Intf.values = snapshot;
-            charged = 0;
-            forced = 0;
-            consistent_path = !waited;
-            started_at;
-            served_at = Engine.now t.env.engine;
-          }
-      end
-      else begin
-        waited := true;
-        t.n_query_waits <- t.n_query_waits + 1;
-        let fail () =
-          (* Crash while waiting for a clean snapshot: answer degraded
-             from whatever the site last held. *)
-          k
-            {
-              Intf.values =
-                List.map (fun key -> (key, Store.get site.d.store key)) keys;
-              charged = 0;
-              forced = 0;
-              consistent_path = false;
-              started_at;
-              served_at = Engine.now t.env.engine;
-            }
-        in
-        site.parked_queries <-
-          { resume = strict_attempt; fail } :: site.parked_queries
-      end
-    in
-    strict_attempt ()
-  end
+  let q = Replica_site.query t.env site.d epsilon () k in
+  if site.d.down then Replica_site.degraded q keys
+  else if epsilon = Epsilon.Limit 0 then
+    Replica_site.strict_read site.gate q ~et keys
   else begin
-  let aq = { killed = false } in
-  site.active_queries <- aq :: site.active_queries;
-  let finish ~consistent vs =
-    site.active_queries <- List.filter (fun a -> a != aq) site.active_queries;
-    k
-      {
-        Intf.values = vs;
-        charged = Epsilon.value eps;
-        forced = 0;
-        consistent_path = consistent;
-        started_at;
-        served_at = Engine.now t.env.engine;
-      }
-  in
-  let rec step remaining =
-    if aq.killed then
-      (* Crash mid-query: serve what was gathered, degraded. *)
-      finish ~consistent:false (List.rev !values)
-    else
-    match remaining with
-    | [] -> finish ~consistent:!waited (List.rev !values)
-    | key :: rest ->
-        let pending = Lock_counter.count site.counters key in
-        let admissible = pending = 0 || Epsilon.try_charge eps pending in
-        if admissible then begin
-          if pending > 0 then t.n_charged_units <- t.n_charged_units + pending;
-          Replica_site.log_action site.d ~et ~key Op.Read;
-          values := (key, Store.get site.d.store key) :: !values;
-          if rest = [] then step []
-          else
-            ignore
-              (Engine.schedule t.env.engine ~delay:Replica_site.query_step_delay
-                 (fun () -> step rest))
-        end
-        else begin
-          (* Too much in-flight inconsistency on this object: wait for
-             completions to drain the counter. *)
-          waited := true;
-          t.n_query_waits <- t.n_query_waits + 1;
-          site.parked_queries <-
-            {
-              resume = (fun () -> step remaining);
-              fail = (fun () -> finish ~consistent:false (List.rev !values));
-            }
-            :: site.parked_queries
-        end
-  in
-  step keys
+    Replica_site.Waits.start site.gate.waits q;
+    Replica_site.gated_read site.gate q ~et keys
   end
 
 let flush _ = ()
@@ -466,39 +331,27 @@ let on_crash t ~site:site_id =
          after recovery.  What dies is the wait contexts: parked and
          in-step queries answer degraded, parked (never-applied) updates
          are rejected. *)
-      let pq = site.parked_queries and pu = site.parked_updates in
-      site.parked_queries <- [];
-      site.parked_updates <- [];
-      List.iter (fun p -> p.fail ()) pq;
-      List.iter (fun p -> p.fail ()) pu;
-      let killed = List.length site.active_queries in
-      List.iter (fun aq -> aq.killed <- true) site.active_queries;
-      site.active_queries <- [];
-      {
-        Replica_site.buffered = 0;
-        queries_failed = List.length pq + killed;
-        updates_rejected = List.length pu;
-      })
+      let queries_failed = Replica_site.Waits.drop site.gate.waits in
+      let updates_rejected = Replica_site.Waits.drop site.parked_updates in
+      { Replica_site.buffered = 0; queries_failed; updates_rejected })
 
 let on_recover t ~site = ignore (Replica_site.recover t.env t.durable.(site))
 let checkpoint t ~site = Replica_site.checkpoint t.env t.durable.(site) t.fabric
 
-let quiescent t =
-  Hashtbl.length t.inflight = 0
-  && Array.for_all
-       (fun site ->
-         site.parked_queries = [] && site.parked_updates = []
-         && site.active_queries = []
-         && Lock_counter.total_nonzero site.counters = 0)
-       t.sites
-
 let backlog t =
   Array.fold_left
     (fun acc site ->
-      acc + List.length site.parked_queries + List.length site.parked_updates
-      + List.length site.active_queries)
+      acc
+      + Replica_site.Waits.size site.gate.waits
+      + Replica_site.Waits.size site.parked_updates)
     (Hashtbl.length t.inflight)
     t.sites
+
+let quiescent t =
+  backlog t = 0
+  && Array.for_all
+       (fun site -> Lock_counter.total_nonzero site.gate.counters = 0)
+       t.sites
 
 let sites t = t.durable
 let mvstore _ ~site:_ = None
@@ -511,9 +364,9 @@ let stats t =
     ("updates", float_of_int t.n_updates);
     ("queries", float_of_int t.n_queries);
     ("rejected", float_of_int t.n_rejected);
-    ("query_waits", float_of_int t.n_query_waits);
+    ("query_waits", float_of_int t.tally.parks);
     ("update_waits", float_of_int t.n_update_waits);
-    ("charged_units", float_of_int t.n_charged_units);
+    ("charged_units", float_of_int t.tally.charged);
   ]
 
 let resources t ~site = Replica_site.resources t.durable.(site) t.fabric

@@ -30,7 +30,6 @@ module Keyspace = Esr_store.Keyspace
 module Sharding = Esr_store.Sharding
 module Et = Esr_core.Et
 module Epsilon = Esr_core.Epsilon
-module Sequencer = Esr_clock.Sequencer
 module Lock_counter = Esr_cc.Lock_counter
 module Engine = Esr_sim.Engine
 module Squeue = Esr_squeue.Squeue
@@ -67,23 +66,13 @@ type entry = {
   mutable e_decided : bool;
 }
 
-type active_query = {
-  aq_keys : string list;
-  mutable aq_observed : Et.id list;
-      (* undecided update ETs whose effects were included in the values
-         this query has read so far *)
-  aq_eps : Epsilon.counter;
-  mutable aq_forced : int;
-  mutable aq_killed : bool;  (* the site crashed mid-query: finish degraded *)
-}
-
 type done_query = { dq_observed : Et.id list; mutable dq_tainted : bool }
 
-(* A parked continuation: [resume] when the counters drain, [fail] when
-   the site crashes and the volatile wait context is lost. *)
-type parked = { resume : unit -> unit; fail : unit -> unit }
+(* What an in-step query tracks: its site and the undecided update ETs
+   whose effects were included in the values it has read so far. *)
+type observed = { at : site; mutable observed : Et.id list }
 
-type site = {
+and site = {
   d : Replica_site.t;  (* the durable half: id, store, log, down flag *)
   mutable last_exec : int;
   buffer : (int, mset) Hashtbl.t;
@@ -91,10 +80,10 @@ type site = {
       (* newest first.  This is COMPE's undo/redo journal (the Time Warp
          log of §4.1): durable, like [hist] — the before-image chains ARE
          the recovery log. *)
-  counters : Lock_counter.t;
+  gate : observed Replica_site.gate;
+      (* the lock counters, durable like the journal, and the
+         counter-gated query walk's waits *)
   early : (Et.id, bool) Hashtbl.t;  (* decision arrived before execution *)
-  mutable parked_queries : parked list;
-  mutable active : active_query list;
   mutable completed : done_query list;
   saga_held : (int, string list ref) Hashtbl.t;
       (* per saga: keys whose counter decrement is deferred to saga end
@@ -106,8 +95,8 @@ type site = {
          ended saga release their counters immediately *)
 }
 
-(* A globally undecided update ET, indexed so a crash of its origin (the
-   coordinator) can force a presumed-abort decision before the timer. *)
+(* A globally undecided update ET, indexed by its origin (the coordinator)
+   so a crash there can force a presumed-abort decision before the timer. *)
 type decision = {
   d_origin : int;
   mutable d_done : bool;
@@ -117,20 +106,19 @@ type decision = {
 type t = {
   env : Intf.env;
   dests : Sharding.Dests.t;  (* reusable routing cursor (launch path) *)
-  streams : Sequencer.t array;
-      (* per-site dense ticket streams — the same interest-ordered
-         sequencer as ordup.ml *)
+  streams : int array;
+      (* per-site dense ticket streams, each the last ticket issued — the
+         same interest-ordered sequencer as ordup.ml *)
   prng : Prng.t;
   durable : Replica_site.t array;
   sites : site array;
   fabric : msg Squeue.t;
   outcomes : (Et.id, Intf.update_outcome -> unit) Hashtbl.t;
   wal : (Et.id, mset) Recovery.Wal.t;  (* durable MSet receipt journal *)
-  decisions : (Et.id, decision) Hashtbl.t;
-  mutable deferred_local : (int * msg) list;
-      (* a site's own coordinator records (decisions, revokes) landing
-         while it is down; replayed — in order — at recovery.  Newest
-         first. *)
+  decisions : decision Replica_site.Origin_table.t;
+  deferred : msg Replica_site.Deferred.t;
+      (* a site's own coordinator records (decisions, revokes, saga ends)
+         landing while it is down *)
   mutable undecided : int;  (* globally undecided update ETs *)
   mutable next_saga : int;
   mutable sagas_active : int;
@@ -147,7 +135,7 @@ type t = {
   mutable rollback_depth_total : int;
   mutable n_tainted : int;
   mutable n_forced : int;
-  mutable n_query_waits : int;
+  tally : Replica_site.tally;  (* query waits *)
 }
 
 let meta =
@@ -159,10 +147,7 @@ let meta =
     sorting_time = "N/A";
   }
 
-let wake_queries site =
-  let waiting = List.rev site.parked_queries in
-  site.parked_queries <- [];
-  List.iter (fun p -> p.resume ()) waiting
+let wake_queries site = Replica_site.Waits.wake site.gate.waits
 
 (* --- compensation machinery --- *)
 
@@ -264,13 +249,13 @@ let taint_and_force t site et =
       end)
     site.completed;
   List.iter
-    (fun aq ->
-      if List.mem et aq.aq_observed then begin
-        Epsilon.charge_forced aq.aq_eps 1;
-        aq.aq_forced <- aq.aq_forced + 1;
+    (fun (q : observed Replica_site.query) ->
+      if List.mem et q.data.observed then begin
+        Epsilon.charge_forced q.eps 1;
+        q.forced <- q.forced + 1;
         t.n_forced <- t.n_forced + 1
       end)
-    site.active
+    site.gate.waits.active
 
 (* Undecided update ETs whose effect on [key] is included in its current
    value — what an epsilon charge for reading [key] actually buys. *)
@@ -310,7 +295,7 @@ let rec process_decision t site et ~commit =
             in
             held := entry_keys entry @ !held
         | true, Some _ | true, None | false, _ ->
-            List.iter (fun key -> ignore (Lock_counter.decr site.counters key))
+            List.iter (fun key -> ignore (Lock_counter.decr site.gate.counters key))
               (entry_keys entry));
         if not commit then begin
           if fast_path_possible entry later then
@@ -364,7 +349,7 @@ and revoke t site et =
                   (fun key ->
                     if List.mem key !held then begin
                       held := remove_first key !held;
-                      ignore (Lock_counter.decr site.counters key)
+                      ignore (Lock_counter.decr site.gate.counters key)
                     end)
                   (entry_keys entry)
             | None -> ())
@@ -406,7 +391,7 @@ let execute_inner t site mset =
       apply_entry_ops site entry;
       List.iter
         (fun (key, op) ->
-          ignore (Lock_counter.incr site.counters key);
+          ignore (Lock_counter.incr site.gate.counters key);
           Replica_site.log_action site.d ~et:mset.et ~key op)
         ops;
       site.log <- entry :: site.log;
@@ -435,7 +420,9 @@ let saga_end t site sid =
   Hashtbl.replace site.ended_sagas sid ();
   (match Hashtbl.find_opt site.saga_held sid with
   | Some held ->
-      List.iter (fun key -> ignore (Lock_counter.decr site.counters key)) !held;
+      List.iter
+        (fun key -> ignore (Lock_counter.decr site.gate.counters key))
+        !held;
       Hashtbl.remove site.saga_held sid
   | None -> ());
   wake_queries site;
@@ -459,7 +446,7 @@ let receive t ~site:site_id msg =
    down they are stashed as its durable coordinator records and replayed
    at recovery. *)
 let local_receive t ~site msg =
-  if t.durable.(site).down then t.deferred_local <- (site, msg) :: t.deferred_local
+  if t.durable.(site).down then Replica_site.Deferred.defer t.deferred ~site msg
   else receive t ~site msg
 
 (* Coordinator-record fan-out (Decide / Revoke) to the launch-time
@@ -474,14 +461,28 @@ let fan_coord t ~origin parts msg =
     parts;
   if !has_origin then local_receive t ~site:origin msg
 
+(* The counter-gated walk's hooks: an admitted read records the undecided
+   ETs it observed; a finished query joins the completed list, where a
+   later compensation can only taint it.  A query killed by a crash skips
+   that list — its outcome already reports the inconsistency. *)
+let on_read (q : observed Replica_site.query) key =
+  q.data.observed <-
+    List.sort_uniq Int.compare (undecided_on q.data.at key @ q.data.observed)
+
+let on_done (q : observed Replica_site.query) =
+  let site = q.data.at in
+  site.completed <-
+    { dq_observed = q.data.observed; dq_tainted = false } :: site.completed
+
 let create (env : Intf.env) =
   let durable = Replica_site.create env in
+  let tally = { Replica_site.charged = 0; parks = 0 } in
   let rec t =
     lazy
       {
         env;
         dests = Sharding.Dests.cursor env.Intf.sharding;
-        streams = Array.init env.Intf.sites (fun _ -> Sequencer.create ());
+        streams = Array.make env.Intf.sites 0;
         prng = Prng.split env.Intf.prng;
         durable;
         sites =
@@ -492,10 +493,8 @@ let create (env : Intf.env) =
                 last_exec = 0;
                 buffer = Hashtbl.create 32;
                 log = [];
-                counters = Lock_counter.create ~hint:env.Intf.store_hint ();
+                gate = Replica_site.gate env tally ~on_read ~on_done ();
                 early = Hashtbl.create 8;
-                parked_queries = [];
-                active = [];
                 completed = [];
                 saga_held = Hashtbl.create 8;
                 pending_revokes = Hashtbl.create 8;
@@ -509,8 +508,8 @@ let create (env : Intf.env) =
         wal =
           Recovery.Wal.create ~prof:env.Intf.obs.Esr_obs.Obs.prof
             ~hint:env.Intf.store_hint ~sites:env.Intf.sites ();
-        decisions = Hashtbl.create 32;
-        deferred_local = [];
+        decisions = Replica_site.Origin_table.create ~origin:(fun d -> d.d_origin);
+        deferred = Replica_site.Deferred.create env;
         undecided = 0;
         next_saga = 0;
         sagas_active = 0;
@@ -527,15 +526,10 @@ let create (env : Intf.env) =
         rollback_depth_total = 0;
         n_tainted = 0;
         n_forced = 0;
-        n_query_waits = 0;
+        tally;
       }
   in
   Lazy.force t
-
-let intent_to_op = function
-  | Intf.Set (k, v) -> (k, Op.Write v)
-  | Intf.Add (k, d) -> (k, Op.Incr d)
-  | Intf.Mul (k, f) -> (k, Op.Mult f)
 
 (* Launch one update ET (or saga step): apply optimistically everywhere,
    then simulate the global commit/abort decision after a coordination
@@ -556,16 +550,7 @@ let launch_step t ~origin ~saga ops ~on_decision =
   Sharding.Dests.iter c (fun s ->
       parts.(!i) <- s;
       incr i);
-  let trace = t.env.Intf.obs.Esr_obs.Obs.trace in
-  if Trace.on trace then
-    Trace.emit trace ~time:(Engine.now t.env.engine)
-      (Trace.Mset_enqueued
-         {
-           et;
-           origin;
-           n_ops = List.length ops;
-           keys = List.map fst ops;
-         });
+  Replica_site.trace_enqueued t.env ~et ~origin fst ops;
   t.undecided <- t.undecided + 1;
   (* Per-site dense tickets, assigned in one atomic step; destinations
      whose streams agree share one message (see ordup.ml). *)
@@ -574,7 +559,8 @@ let launch_step t ~origin ~saga ops ~on_decision =
   let propagate () =
     Array.iter
       (fun dst ->
-        let ticket = Sequencer.next t.streams.(dst) in
+        let ticket = t.streams.(dst) + 1 in
+        t.streams.(dst) <- ticket;
         let msg =
           match !shared with
           | Provisional m when m.ticket = ticket -> !shared
@@ -599,13 +585,13 @@ let launch_step t ~origin ~saga ops ~on_decision =
     on_decision ~et ~commit
   in
   let d = { d_origin = origin; d_done = false; d_apply } in
-  Hashtbl.replace t.decisions et d;
+  Replica_site.Origin_table.add t.decisions et d;
   ignore
     (Engine.schedule t.env.engine ~delay:config.Intf.compe_decision_delay
        (fun () ->
          if not d.d_done then begin
            d.d_done <- true;
-           Hashtbl.remove t.decisions et;
+           Replica_site.Origin_table.remove t.decisions et;
            let commit =
              not (Prng.bernoulli t.prng config.Intf.compe_abort_probability)
            in
@@ -618,7 +604,7 @@ let submit_update t ~origin intents k =
   else if intents = [] then k (Intf.Rejected "empty update ET")
   else begin
     t.n_updates <- t.n_updates + 1;
-    let ops = List.map intent_to_op intents in
+    let ops = List.map Intf.op_of_intent intents in
     (* Every op must be compensatable: a logical inverse or a journaled
        before-image (all our updates qualify; reads need none). *)
     ignore
@@ -663,7 +649,7 @@ let submit_saga t ~origin steps k =
           finish (Intf.Committed { committed_at = Engine.now t.env.engine })
       | intents :: rest ->
           t.n_updates <- t.n_updates + 1;
-          let ops = List.map intent_to_op intents in
+          let ops = List.map Intf.op_of_intent intents in
           let step_parts = ref [||] in
           let _, parts =
             launch_step t ~origin ~saga:(Some sid) ops
@@ -688,134 +674,20 @@ let submit_saga t ~origin steps k =
     run_step 1 [] steps
   end
 
+(* Every query registers as in-step, strict ones too (a compensation may
+   force-charge any query that observed the aborted ET); the walk is
+   COMMU's counter-gated one over the undecided-window counters. *)
 let submit_query t ~site:site_id ~keys ~epsilon k =
   t.n_queries <- t.n_queries + 1;
   let site = t.sites.(site_id) in
   let et = t.env.Intf.next_et () in
-  let eps = Epsilon.create epsilon in
-  let started_at = Engine.now t.env.engine in
-  let degraded ?(forced = 0) vs =
-    k
-      {
-        Intf.values = vs;
-        charged = Epsilon.value eps;
-        forced;
-        consistent_path = false;
-        started_at;
-        served_at = Engine.now t.env.engine;
-      }
-  in
-  if site.d.down then
-    (* Graceful failure: a crashed site answers from its last image,
-       flagged degraded. *)
-    degraded (List.map (fun key -> (key, Store.get site.d.store key)) keys)
+  let q = Replica_site.query t.env site.d epsilon { at = site; observed = [] } k in
+  if site.d.down then Replica_site.degraded q keys
   else begin
-  let aq =
-    {
-      aq_keys = keys;
-      aq_observed = [];
-      aq_eps = eps;
-      aq_forced = 0;
-      aq_killed = false;
-    }
-  in
-  site.active <- aq :: site.active;
-  let waited = ref false in
-  let values = ref [] in
-  let fail_degraded vs =
-    site.active <- List.filter (fun a -> a != aq) site.active;
-    degraded ~forced:aq.aq_forced vs
-  in
-  (* Strict queries take an atomic snapshot once every key is free of
-     undecided provisional updates (see the same reasoning in commu.ml). *)
-  if epsilon = Epsilon.Limit 0 then begin
-    let rec strict_attempt () =
-      if List.for_all (fun key -> Lock_counter.count site.counters key = 0) keys
-      then begin
-        let snapshot =
-          List.map
-            (fun key ->
-              Replica_site.log_action site.d ~et ~key Op.Read;
-              (key, Store.get site.d.store key))
-            keys
-        in
-        site.active <- List.filter (fun a -> a != aq) site.active;
-        site.completed <-
-          { dq_observed = aq.aq_observed; dq_tainted = false } :: site.completed;
-        k
-          {
-            Intf.values = snapshot;
-            charged = Epsilon.value eps;
-            forced = aq.aq_forced;
-            consistent_path = !waited;
-            started_at;
-            served_at = Engine.now t.env.engine;
-          }
-      end
-      else begin
-        waited := true;
-        t.n_query_waits <- t.n_query_waits + 1;
-        site.parked_queries <-
-          {
-            resume = strict_attempt;
-            fail =
-              (fun () ->
-                fail_degraded
-                  (List.map (fun key -> (key, Store.get site.d.store key)) keys));
-          }
-          :: site.parked_queries
-      end
-    in
-    strict_attempt ()
-  end
-  else
-  let rec step remaining =
-    if aq.aq_killed then
-      (* Crash mid-query: serve what was gathered, degraded.  The query
-         skips the completed list — its outcome already reports the
-         inconsistency. *)
-      degraded ~forced:aq.aq_forced (List.rev !values)
-    else
-    match remaining with
-    | [] ->
-        site.active <- List.filter (fun a -> a != aq) site.active;
-        site.completed <-
-          { dq_observed = aq.aq_observed; dq_tainted = false } :: site.completed;
-        k
-          {
-            Intf.values = List.rev !values;
-            charged = Epsilon.value eps;
-            forced = aq.aq_forced;
-            consistent_path = !waited;
-            started_at;
-            served_at = Engine.now t.env.engine;
-          }
-    | key :: rest ->
-        let pending = Lock_counter.count site.counters key in
-        let admissible = pending = 0 || Epsilon.try_charge eps pending in
-        if admissible then begin
-          Replica_site.log_action site.d ~et ~key Op.Read;
-          aq.aq_observed <-
-            List.sort_uniq Int.compare (undecided_on site key @ aq.aq_observed);
-          values := (key, Store.get site.d.store key) :: !values;
-          if rest = [] then step []
-          else
-            ignore
-              (Engine.schedule t.env.engine ~delay:Replica_site.query_step_delay
-                 (fun () -> step rest))
-        end
-        else begin
-          waited := true;
-          t.n_query_waits <- t.n_query_waits + 1;
-          site.parked_queries <-
-            {
-              resume = (fun () -> step remaining);
-              fail = (fun () -> fail_degraded (List.rev !values));
-            }
-            :: site.parked_queries
-        end
-  in
-  step keys
+    Replica_site.Waits.start site.gate.waits q;
+    if epsilon = Epsilon.Limit 0 then
+      Replica_site.strict_read site.gate q ~et keys
+    else Replica_site.gated_read site.gate q ~et keys
   end
 
 let flush _ = ()
@@ -830,31 +702,19 @@ let on_crash t ~site:site_id =
          store image. *)
       let buffered = Hashtbl.length site.buffer in
       Hashtbl.reset site.buffer;
-      let parked = site.parked_queries in
-      site.parked_queries <- [];
-      List.iter (fun p -> p.fail ()) parked;
-      let killed = List.length site.active in
-      List.iter (fun aq -> aq.aq_killed <- true) site.active;
-      site.active <- [];
+      let queries_failed = Replica_site.Waits.drop site.gate.waits in
       (* The crashed site was the coordinator of its undecided update ETs:
          presumed abort.  The abort records reach the remotes through the
          stable queue (now, if reachable) and this site at replay time. *)
-      let orphaned =
-        Hashtbl.fold
-          (fun et d acc ->
-            if d.d_origin = site_id && not d.d_done then (et, d) :: acc else acc)
-          t.decisions []
-        |> List.sort (fun (a, _) (b, _) -> compare a b)
-      in
+      let orphaned = Replica_site.Origin_table.take t.decisions ~origin:site_id in
       List.iter
-        (fun (et, d) ->
+        (fun d ->
           d.d_done <- true;
-          Hashtbl.remove t.decisions et;
           d.d_apply ~commit:false)
         orphaned;
       {
         Replica_site.buffered;
-        queries_failed = List.length parked + killed;
+        queries_failed;
         updates_rejected = List.length orphaned;
       })
 
@@ -872,11 +732,8 @@ let on_recover t ~site:site_id =
     drain t site;
     (* ...and replay the site's own coordinator records that landed while
        it was down, in arrival order. *)
-    let mine, others =
-      List.partition (fun (s, _) -> s = site_id) (List.rev t.deferred_local)
-    in
-    t.deferred_local <- List.rev others;
-    List.iter (fun (_, msg) -> receive t ~site:site_id msg) mine;
+    Replica_site.Deferred.replay t.deferred ~site:site_id
+      (receive t ~site:site_id);
     wake_queries site
   end
 
@@ -902,25 +759,20 @@ let checkpoint t ~site =
   let site = t.sites.(site) in
   Replica_site.checkpoint ~reclaim:(prune_log site) t.env site.d t.fabric
 
-let quiescent t =
-  t.undecided = 0 && t.sagas_active = 0 && t.deferred_local = []
-  && Array.for_all
-       (fun site ->
-         Hashtbl.length site.buffer = 0
-         && Hashtbl.length site.early = 0
-         && Hashtbl.length site.pending_revokes = 0
-         && site.parked_queries = []
-         && Lock_counter.total_nonzero site.counters = 0)
-       t.sites
-
 let backlog t =
   Array.fold_left
     (fun acc site ->
       acc + Hashtbl.length site.buffer + Hashtbl.length site.early
       + Hashtbl.length site.pending_revokes
-      + List.length site.parked_queries)
-    (t.undecided + t.sagas_active + List.length t.deferred_local)
+      + List.length site.gate.waits.parked)
+    (t.undecided + t.sagas_active + Replica_site.Deferred.size t.deferred)
     t.sites
+
+let quiescent t =
+  backlog t = 0
+  && Array.for_all
+       (fun site -> Lock_counter.total_nonzero site.gate.counters = 0)
+       t.sites
 
 let sites t = t.durable
 
@@ -947,7 +799,7 @@ let stats t =
     ("rollback_depth_total", float_of_int t.rollback_depth_total);
     ("tainted_queries", float_of_int t.n_tainted);
     ("forced_charges", float_of_int t.n_forced);
-    ("query_waits", float_of_int t.n_query_waits);
+    ("query_waits", float_of_int t.tally.parks);
     ("sagas", float_of_int t.n_sagas);
     ("saga_aborts", float_of_int t.n_saga_aborts);
     ("revokes", float_of_int t.n_revokes);

@@ -32,6 +32,12 @@ let pp_intent ppf = function
 
 let intent_key = function Set (k, _) | Add (k, _) | Mul (k, _) -> k
 
+(** The key and operation of an intent, for methods that accept all three. *)
+let op_of_intent = function
+  | Set (k, v) -> (k, Op.Write v)
+  | Add (k, d) -> (k, Op.Incr d)
+  | Mul (k, f) -> (k, Op.Mult f)
+
 (** An operation with its key interned at the origin: replicas apply by
     dense id (one array load) instead of re-hashing the key string at
     every site.  The name rides along for the durable log and traces. *)
@@ -267,10 +273,12 @@ module type S = sig
 
   val on_crash : t -> site:int -> unit
   (** The site's volatile state is gone: order buffers and provisional
-      applies are dropped, parked/active queries at the site fail with a
-      degraded outcome, and un-notified update outcomes whose coordinator
-      lived at the site are rejected.  Stable state — the per-site durable
-      operation log and the stable-queue journals — survives.  Idempotent:
+      applies are dropped, its query contexts ({!Replica_site.Waits})
+      fail or are killed with a degraded outcome, and what it coordinates
+      in the method's {!Replica_site.Origin_table}s is swept in ascending
+      id order (outcomes rejected, rounds failed).  Stable state — the
+      durable operation log, the stable-queue journals and the
+      {!Replica_site.Deferred} same-site records — survives.  Idempotent:
       crashing an already-crashed site is a no-op.  The caller (normally
       {!Esr_fault.Schedule.inject} via {!Harness.run_with_faults}) crashes
       the network layer first, so no messages are delivered in between. *)

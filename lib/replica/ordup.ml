@@ -25,7 +25,6 @@ module Et = Esr_core.Et
 module Epsilon = Esr_core.Epsilon
 module Gtime = Esr_clock.Gtime
 module Lamport = Esr_clock.Lamport
-module Sequencer = Esr_clock.Sequencer
 module Engine = Esr_sim.Engine
 module Squeue = Esr_squeue.Squeue
 module Trace = Esr_obs.Trace
@@ -60,18 +59,14 @@ type msg = Update of mset | Watermark of Gtime.t
 let no_update =
   Update { et = 0; order = Ticket 0; ops = []; origin = 0; commit_site = 0 }
 
-type active_query = {
+(* What an in-step query tracks: its serialization point, read set and
+   trace window (the ordinal [w], traced for Ticket orders only). *)
+type active = {
   aq_order : order;
   aq_keys : string list;
-  aq_eps : Epsilon.counter;
   mutable aq_failed : bool;  (* a charge was refused; fall back to SR path *)
-  mutable aq_killed : bool;  (* the site crashed mid-query: finish degraded *)
-}
-
-type parked_query = {
-  pq_target : order;
-  pq_resume : unit -> unit;
-  pq_fail : unit -> unit;  (* degraded outcome when the site crashes *)
+  aq_w : int;
+  aq_windowed : bool;
 }
 
 type site = {
@@ -83,25 +78,26 @@ type site = {
   clock : Lamport.t;
   mutable lam_buffer : mset list;  (* ascending stamp order *)
   watermarks : Gtime.t array;
-  mutable active : active_query list;
-  mutable parked : parked_query list;
+  waits : active Replica_site.Waits.t;  (* in-step queries, SR fallbacks *)
 }
 
 type t = {
   env : Intf.env;
   mode : [ `Sequencer | `Lamport ];
   dests : Sharding.Dests.t;  (* reusable routing cursor (submit path) *)
-  streams : Sequencer.t array;
-      (* sequencer mode: the order server's per-site dense ticket streams
-         (a site executes ITS OWN stream gap-free; cross-site order is
-         inherited from submission order, which assigns every interested
-         site its next ticket atomically) *)
+  streams : int array;
+      (* sequencer mode: the order server's per-site dense ticket streams,
+         each the last ticket issued (a site executes ITS OWN stream
+         gap-free from ticket 1; cross-site order is inherited from
+         submission order, which assigns every interested site its next
+         ticket atomically) *)
   durable : Replica_site.t array;
   sites : site array;
   fabric : msg Squeue.t;
   (* origin site and commit callback; the callback is volatile origin-side
      state, dropped (with a rejection) when the origin crashes *)
-  pending_commits : (Et.id, int * (Intf.update_outcome -> unit)) Hashtbl.t;
+  pending_commits :
+    (int * (Intf.update_outcome -> unit)) Replica_site.Origin_table.t;
   wal : (Et.id, mset) Recovery.Wal.t;  (* durable MSet receipt journal *)
   mutable n_fallbacks : int;
   mutable n_charged_units : int;
@@ -151,7 +147,8 @@ let apply_mset_inner t site mset =
   (* Charge active queries that this update interleaves: it executes after
      the query's serialization point and touches its keys. *)
   List.iter
-    (fun aq ->
+    (fun (q : active Replica_site.query) ->
+      let aq = q.data in
       if
         (not aq.aq_failed)
         && (not (order_leq mset.order aq.aq_order))
@@ -159,15 +156,15 @@ let apply_mset_inner t site mset =
              (fun (i : Intf.iop) -> List.mem i.Intf.key aq.aq_keys)
              mset.ops
       then
-        if Epsilon.try_charge aq.aq_eps 1 then
+        if Epsilon.try_charge q.eps 1 then
           t.n_charged_units <- t.n_charged_units + 1
         else aq.aq_failed <- true)
-    site.active;
+    site.waits.active;
   Recovery.Wal.consume t.wal ~site:site.d.id ~key:mset.et;
   if mset.commit_site = site.d.id then
-    match Hashtbl.find_opt t.pending_commits mset.et with
+    match Replica_site.Origin_table.find t.pending_commits mset.et with
     | Some (_, k) ->
-        Hashtbl.remove t.pending_commits mset.et;
+        Replica_site.Origin_table.remove t.pending_commits mset.et;
         k (Intf.Committed { committed_at = Engine.now t.env.engine })
     | None -> ()
 
@@ -191,13 +188,6 @@ let order_reached site = function
                 | Stamp s -> Gtime.compare s ts <= 0
                 | Ticket _ -> false)
               site.lam_buffer)
-
-let wake_parked site =
-  let ready, still =
-    List.partition (fun pq -> order_reached site pq.pq_target) site.parked
-  in
-  site.parked <- still;
-  List.iter (fun pq -> pq.pq_resume ()) ready
 
 let rec drain_sequencer t site =
   match Hashtbl.find_opt site.seq_buffer (site.last_exec + 1) with
@@ -262,7 +252,7 @@ let receive t ~site:site_id msg =
   | Watermark ts ->
       update_watermark site ~origin:ts.Gtime.site ts;
       drain_lamport t site);
-  wake_parked site
+  Replica_site.Waits.wake_ready site.waits
 
 (* --- public interface --- *)
 
@@ -274,7 +264,7 @@ let create (env : Intf.env) =
         env;
         mode = env.Intf.config.Intf.ordup_ordering;
         dests = Sharding.Dests.cursor env.Intf.sharding;
-        streams = Array.init env.Intf.sites (fun _ -> Sequencer.create ());
+        streams = Array.make env.Intf.sites 0;
         durable;
         sites =
           Array.map
@@ -286,14 +276,13 @@ let create (env : Intf.env) =
                 clock = Lamport.create ();
                 lam_buffer = [];
                 watermarks = Array.make env.Intf.sites Gtime.zero;
-                active = [];
-                parked = [];
+                waits = Replica_site.Waits.create ();
               })
             durable;
         fabric =
           Replica_site.fabric env ~mode:Squeue.Fifo (fun ~site ~src:_ msg ->
               receive (Lazy.force t) ~site msg);
-        pending_commits = Hashtbl.create 32;
+        pending_commits = Replica_site.Origin_table.create ~origin:fst;
         wal =
           Recovery.Wal.create ~prof:env.Intf.obs.Esr_obs.Obs.prof
             ~hint:env.Intf.store_hint ~sites:env.Intf.sites ();
@@ -306,12 +295,7 @@ let create (env : Intf.env) =
   Lazy.force t
 
 let intent_to_op env intent =
-  let key, op =
-    match intent with
-    | Intf.Set (k, v) -> (k, Op.Write v)
-    | Intf.Add (k, d) -> (k, Op.Incr d)
-    | Intf.Mul (k, f) -> (k, Op.Mult f)
-  in
+  let key, op = Intf.op_of_intent intent in
   { Intf.id = Esr_store.Keyspace.intern env.Intf.keyspace key; key; op }
 
 let submit_update t ~origin intents k =
@@ -333,17 +317,8 @@ let submit_update t ~origin intents k =
         !first
       end
     in
-    let trace = t.env.Intf.obs.Esr_obs.Obs.trace in
-    if Trace.on trace then
-      Trace.emit trace ~time:(Engine.now t.env.engine)
-        (Trace.Mset_enqueued
-           {
-             et;
-             origin;
-             n_ops = List.length ops;
-             keys = List.map (fun (i : Intf.iop) -> i.Intf.key) ops;
-           });
-    Hashtbl.replace t.pending_commits et (origin, k);
+    Replica_site.trace_enqueued t.env ~et ~origin Intf.iop_key ops;
+    Replica_site.Origin_table.add t.pending_commits et (origin, k);
     (* Remote replicas get the MSet through the stable queues; the origin
        buffers it directly (local enqueue is not subject to the network). *)
     match t.mode with
@@ -358,7 +333,8 @@ let submit_update t ~origin intents k =
         let shared = ref no_update in
         let propagate () =
           Sharding.Dests.iter c (fun dst ->
-              let ticket = Sequencer.next t.streams.(dst) in
+              let ticket = t.streams.(dst) + 1 in
+              t.streams.(dst) <- ticket;
               let msg =
                 match !shared with
                 | Update { order = Ticket n; _ } when n = ticket -> !shared
@@ -400,7 +376,7 @@ let query_order t site =
   | `Sequencer ->
       (* Each site executes its own dense stream, so the serialization
          point is the last ticket handed out FOR this site. *)
-      Ticket (Sequencer.issued t.streams.(site.d.id))
+      Ticket t.streams.(site.d.id)
   | `Lamport ->
       Stamp (Gtime.make ~counter:(Lamport.peek site.clock) ~site:site.d.id)
 
@@ -417,122 +393,101 @@ let missing_before site = function
              | Ticket _ -> false)
            site.lam_buffer)
 
-let read_all site ~et keys =
-  List.map
-    (fun key ->
-      Replica_site.log_action site.d ~et ~key Op.Read;
-      (key, Store.get site.d.store key))
-    keys
+(* Trace the close of a query's inconsistency window (see [submit_query]). *)
+let close_window t (q : active Replica_site.query) outcome =
+  if q.data.aq_windowed then
+    Trace.emit t.env.Intf.obs.Esr_obs.Obs.trace
+      ~time:(Engine.now t.env.engine)
+      (Trace.Query_window_closed
+         {
+           w = q.data.aq_w;
+           site = q.qsite.id;
+           charged = Epsilon.value q.eps;
+           outcome;
+         })
+
+(* The consistent path: take the query's own slot in the order and wait
+   until the replica has executed exactly up to it. *)
+let consistent_path t site q ~et =
+  t.n_fallbacks <- t.n_fallbacks + 1;
+  let target = query_order t site in
+  let keys = q.Replica_site.data.aq_keys in
+  let resume () =
+    Replica_site.answer q ~consistent:true (Replica_site.read site.d ~et keys)
+  in
+  if order_reached site target then resume ()
+  else
+    ignore
+      (Replica_site.Waits.park site.waits
+         ~ready:(fun () -> order_reached site target)
+         ~resume
+         ~fail:(fun () -> Replica_site.degraded q keys)
+         ())
+
+let rec step t site (q : active Replica_site.query) ~et keys =
+  if q.killed then begin
+    (* Crash mid-query: the remaining reads cannot happen; serve what was
+       gathered, marked as the degraded (non-SR) path. *)
+    close_window t q `Killed;
+    Replica_site.answer q ~consistent:false (List.rev q.gathered)
+  end
+  else if q.data.aq_failed then begin
+    Replica_site.Waits.stop site.waits q;
+    close_window t q `Fallback;
+    consistent_path t site q ~et
+  end
+  else
+    match keys with
+    | [] ->
+        Replica_site.Waits.stop site.waits q;
+        close_window t q `Ok;
+        Replica_site.answer q ~consistent:false (List.rev q.gathered)
+    | key :: rest ->
+        Replica_site.gather q ~et key;
+        if rest = [] then step t site q ~et []
+        else Replica_site.next_step q (fun () -> step t site q ~et rest)
 
 let submit_query t ~site:site_id ~keys ~epsilon k =
   t.n_queries <- t.n_queries + 1;
   let site = t.sites.(site_id) in
   let et = t.env.Intf.next_et () in
-  let eps = Epsilon.create epsilon in
-  let started_at = Engine.now t.env.engine in
-  let finish ~charged ~consistent values =
-    k
-      {
-        Intf.values;
-        charged;
-        forced = 0;
-        consistent_path = consistent;
-        started_at;
-        served_at = Engine.now t.env.engine;
-      }
-  in
   if site.d.down then
-    (* Graceful failure: a crashed site answers from its last image,
-       flagged degraded. *)
-    finish ~charged:0 ~consistent:false
-      (List.map (fun key -> (key, Store.get site.d.store key)) keys)
+    Replica_site.degraded (Replica_site.query t.env site.d epsilon () k) keys
   else begin
-  let consistent_path () =
-    t.n_fallbacks <- t.n_fallbacks + 1;
-    let target = query_order t site in
-    let resume () =
-      finish ~charged:(Epsilon.value eps) ~consistent:true
-        (read_all site ~et keys)
-    in
-    let fail () =
-      (* The site crashed while the query waited: its volatile context is
-         gone, so answer degraded from whatever the site last held. *)
-      finish ~charged:(Epsilon.value eps) ~consistent:false
-        (List.map (fun key -> (key, Store.get site.d.store key)) keys)
-    in
-    if order_reached site target then resume ()
-    else
-      site.parked <-
-        { pq_target = target; pq_resume = resume; pq_fail = fail } :: site.parked
-  in
-  let q_order = query_order t site in
-  let missing = missing_before site q_order in
-  let can_start = missing = 0 || Epsilon.try_charge eps missing in
-  if not can_start then consistent_path ()
-  else begin
-    t.n_charged_units <- t.n_charged_units + missing;
-    let aq =
-      {
-        aq_order = q_order;
-        aq_keys = keys;
-        aq_eps = eps;
-        aq_failed = false;
-        aq_killed = false;
-      }
-    in
-    site.active <- aq :: site.active;
+    let order = query_order t site in
     (* The query's inconsistency window, for the auditor's overlap
        reconstruction: serialization point, lump charge, read set at open;
        final charge and exit path at close.  Ticket orders only — Lamport
        stamps have no integer point to reconstruct against. *)
     let trace = t.env.Intf.obs.Esr_obs.Obs.trace in
-    let w = t.n_queries in
-    let windowed = Trace.on trace && (match q_order with Ticket _ -> true | Stamp _ -> false) in
-    if windowed then begin
-      match q_order with
-      | Ticket point ->
+    let windowed =
+      Trace.on trace && match order with Ticket _ -> true | Stamp _ -> false
+    in
+    let q =
+      Replica_site.query t.env site.d epsilon
+        {
+          aq_order = order;
+          aq_keys = keys;
+          aq_failed = false;
+          aq_w = t.n_queries;
+          aq_windowed = windowed;
+        }
+        k
+    in
+    let missing = missing_before site order in
+    if not (missing = 0 || Epsilon.try_charge q.eps missing) then
+      consistent_path t site q ~et
+    else begin
+      t.n_charged_units <- t.n_charged_units + missing;
+      Replica_site.Waits.start site.waits q;
+      (match order with
+      | Ticket point when windowed ->
           Trace.emit trace ~time:(Engine.now t.env.engine)
-            (Trace.Query_window { w; site = site_id; point; missing; keys })
-      | Stamp _ -> ()
-    end;
-    let close outcome =
-      if windowed then
-        Trace.emit trace ~time:(Engine.now t.env.engine)
-          (Trace.Query_window_closed
-             { w; site = site_id; charged = Epsilon.value eps; outcome })
-    in
-    let values = ref [] in
-    let rec step remaining =
-      if aq.aq_killed then begin
-        (* Crash mid-query: the remaining reads cannot happen; serve what
-           was gathered, marked as the degraded (non-SR) path. *)
-        close `Killed;
-        finish ~charged:(Epsilon.value eps) ~consistent:false
-          (List.rev !values)
-      end
-      else if aq.aq_failed then begin
-        site.active <- List.filter (fun a -> a != aq) site.active;
-        close `Fallback;
-        consistent_path ()
-      end
-      else
-        match remaining with
-        | [] ->
-            site.active <- List.filter (fun a -> a != aq) site.active;
-            close `Ok;
-            finish ~charged:(Epsilon.value eps) ~consistent:false
-              (List.rev !values)
-        | key :: rest ->
-            Replica_site.log_action site.d ~et ~key Op.Read;
-            values := (key, Store.get site.d.store key) :: !values;
-            if rest = [] then step []
-            else
-              ignore
-                (Engine.schedule t.env.engine
-                   ~delay:Replica_site.query_step_delay (fun () -> step rest))
-    in
-    step keys
-  end
+            (Trace.Query_window
+               { w = t.n_queries; site = site_id; point; missing; keys })
+      | Ticket _ | Stamp _ -> ());
+      step t site q ~et keys
+    end
   end
 
 let flush t =
@@ -547,7 +502,7 @@ let flush t =
           site.watermarks.(site.d.id) <- ts;
           Squeue.broadcast t.fabric ~src:site.d.id (Watermark ts);
           drain_lamport t site;
-          wake_parked site)
+          Replica_site.Waits.wake_ready site.waits)
         t.sites
 
 let on_crash t ~site:site_id =
@@ -562,31 +517,18 @@ let on_crash t ~site:site_id =
       site.lam_buffer <- [];
       (* Parked queries fail immediately with a degraded answer; active
          queries are killed and finish degraded at their next step. *)
-      let parked = site.parked in
-      site.parked <- [];
-      List.iter (fun pq -> pq.pq_fail ()) parked;
-      let killed = List.length site.active in
-      List.iter (fun aq -> aq.aq_killed <- true) site.active;
-      site.active <- [];
+      let queries_failed = Replica_site.Waits.drop site.waits in
       (* Origin-side commit callbacks are volatile: clients of this site
          get a rejection.  The MSets themselves are already in the stable
          fabric and still commit everywhere (including here, after
          recovery). *)
       let orphaned =
-        Hashtbl.fold
-          (fun et (origin, k) acc ->
-            if origin = site_id then (et, k) :: acc else acc)
-          t.pending_commits []
-        |> List.sort (fun (a, _) (b, _) -> compare a b)
+        Replica_site.Origin_table.take t.pending_commits ~origin:site_id
       in
-      List.iter
-        (fun (et, k) ->
-          Hashtbl.remove t.pending_commits et;
-          k (Intf.Rejected "origin site crashed"))
-        orphaned;
+      List.iter (fun (_, k) -> k (Intf.Rejected "origin site crashed")) orphaned;
       {
         Replica_site.buffered;
-        queries_failed = List.length parked + killed;
+        queries_failed;
         updates_rejected = List.length orphaned;
       })
 
@@ -607,7 +549,7 @@ let on_recover t ~site:site_id =
     (match t.mode with
     | `Sequencer -> drain_sequencer t site
     | `Lamport -> drain_lamport t site);
-    wake_parked site
+    Replica_site.Waits.wake_ready site.waits
   end
 
 (* Unapplied MSets straddling a cut stay in the receipt journal
@@ -615,21 +557,15 @@ let on_recover t ~site:site_id =
 let checkpoint t ~site =
   Replica_site.checkpoint t.env t.durable.(site) t.fabric
 
-let quiescent t =
-  Array.for_all
-    (fun site ->
-      Hashtbl.length site.seq_buffer = 0
-      && site.lam_buffer = [] && site.parked = [] && site.active = [])
-    t.sites
-  && Hashtbl.length t.pending_commits = 0
-
 let backlog t =
   Array.fold_left
     (fun acc site ->
       acc + Hashtbl.length site.seq_buffer + List.length site.lam_buffer
-      + List.length site.parked + List.length site.active)
-    (Hashtbl.length t.pending_commits)
+      + Replica_site.Waits.size site.waits)
+    (Replica_site.Origin_table.length t.pending_commits)
     t.sites
+
+let quiescent t = backlog t = 0
 
 let sites t = t.durable
 let mvstore _ ~site:_ = None

@@ -49,14 +49,6 @@ type site = {
       (* refresh versions seen — durable, written with the data *)
 }
 
-(* A strict query waiting on the primary's reply; the wait context is
-   volatile at the querying site. *)
-type pending_query = {
-  q_origin : int;
-  q_notify : (string * Value.t) list -> unit;
-  q_fail : unit -> unit;
-}
-
 type t = {
   env : Intf.env;
   dests : Sharding.Dests.t;  (* reusable routing cursor (refresh path) *)
@@ -69,9 +61,12 @@ type t = {
   mutable dirty : string list;
   mutable timer_armed : bool;
   mutable next_version : int;
-  outcomes : (Et.id, int * (Intf.update_outcome -> unit)) Hashtbl.t;
+  outcomes : (int * (Intf.update_outcome -> unit)) Replica_site.Origin_table.t;
       (* origin site and commit callback — volatile origin-side state *)
-  query_replies : (int, pending_query) Hashtbl.t;
+  query_replies :
+    (unit Replica_site.query * string list) Replica_site.Origin_table.t;
+      (* strict queries waiting on the primary's reply, with their keys:
+         the wait context is volatile at the querying site *)
   mutable next_qid : int;
   mutable n_updates : int;
   mutable n_queries : int;
@@ -164,9 +159,9 @@ let rec receive t ~site:site_id msg =
       if origin = site_id then receive t ~site:origin reply
       else Squeue.send t.fabric ~src:site_id ~dst:origin reply
   | Update_done { et } -> (
-      match Hashtbl.find_opt t.outcomes et with
+      match Replica_site.Origin_table.find t.outcomes et with
       | Some (_, notify) ->
-          Hashtbl.remove t.outcomes et;
+          Replica_site.Origin_table.remove t.outcomes et;
           notify (Intf.Committed { committed_at = Engine.now t.env.engine })
       | None -> ())
   | Refresh { key; value; version } ->
@@ -179,21 +174,16 @@ let rec receive t ~site:site_id msg =
       end
   | Do_query { qid; keys; origin } ->
       let query_et = t.env.Intf.next_et () in
-      let values =
-        List.map
-          (fun key ->
-            Replica_site.log_action site.d ~et:query_et ~key Op.Read;
-            (key, Store.get site.d.store key))
-          keys
+      let reply =
+        Query_reply { qid; values = Replica_site.read site.d ~et:query_et keys }
       in
-      let reply = Query_reply { qid; values } in
       if origin = site_id then receive t ~site:origin reply
       else Squeue.send t.fabric ~src:site_id ~dst:origin reply
   | Query_reply { qid; values } -> (
-      match Hashtbl.find_opt t.query_replies qid with
-      | Some pq ->
-          Hashtbl.remove t.query_replies qid;
-          pq.q_notify values
+      match Replica_site.Origin_table.find t.query_replies qid with
+      | Some (q, _) ->
+          Replica_site.Origin_table.remove t.query_replies qid;
+          Replica_site.answer q ~consistent:true values
       | None -> ())
 
 let create (env : Intf.env) =
@@ -217,8 +207,10 @@ let create (env : Intf.env) =
         dirty = [];
         timer_armed = false;
         next_version = 0;
-        outcomes = Hashtbl.create 32;
-        query_replies = Hashtbl.create 32;
+        outcomes = Replica_site.Origin_table.create ~origin:fst;
+        query_replies =
+          Replica_site.Origin_table.create ~origin:(fun (q, _) ->
+              q.Replica_site.qsite.id);
         next_qid = 0;
         n_updates = 0;
         n_queries = 0;
@@ -228,29 +220,15 @@ let create (env : Intf.env) =
   in
   Lazy.force t
 
-let intent_to_op = function
-  | Intf.Set (k, v) -> (k, Op.Write v)
-  | Intf.Add (k, d) -> (k, Op.Incr d)
-  | Intf.Mul (k, f) -> (k, Op.Mult f)
-
 let submit_update t ~origin intents k =
   if t.durable.(origin).down then k (Intf.Rejected "origin site down")
   else if intents = [] then k (Intf.Rejected "empty update ET")
   else begin
     t.n_updates <- t.n_updates + 1;
     let et = t.env.Intf.next_et () in
-    let ops = List.map intent_to_op intents in
-    let trace = t.env.Intf.obs.Esr_obs.Obs.trace in
-    if Trace.on trace then
-      Trace.emit trace ~time:(Engine.now t.env.engine)
-        (Trace.Mset_enqueued
-           {
-             et;
-             origin;
-             n_ops = List.length ops;
-             keys = List.map fst ops;
-           });
-    Hashtbl.replace t.outcomes et (origin, k);
+    let ops = List.map Intf.op_of_intent intents in
+    Replica_site.trace_enqueued t.env ~et ~origin fst ops;
+    Replica_site.Origin_table.add t.outcomes et (origin, k);
     let msg = Do_update { et; ops; origin } in
     if origin = primary then receive t ~site:primary msg
     else Squeue.send t.fabric ~src:origin ~dst:primary msg
@@ -258,53 +236,24 @@ let submit_update t ~origin intents k =
 
 let submit_query t ~site:site_id ~keys ~epsilon k =
   t.n_queries <- t.n_queries + 1;
-  let started_at = Engine.now t.env.engine in
-  let finish ~consistent values =
-    k
-      {
-        Intf.values;
-        charged = 0;
-        forced = 0;
-        consistent_path = consistent;
-        started_at;
-        served_at = Engine.now t.env.engine;
-      }
-  in
-  let local_degraded () =
-    (* Graceful failure: answer from the last local image, flagged
-       degraded (nothing is logged — the site is not executing). *)
-    finish ~consistent:false
-      (List.map (fun key -> (key, Store.get t.durable.(site_id).store key)) keys)
-  in
-  let strict = epsilon = Epsilon.Limit 0 in
-  if t.durable.(site_id).down then local_degraded ()
-  else if strict && site_id <> primary then begin
+  let site = t.durable.(site_id) in
+  (* Inconsistency is governed by the closeness spec: nothing is charged. *)
+  let q = Replica_site.query t.env site epsilon () k in
+  if site.down then Replica_site.degraded q keys
+  else if epsilon = Epsilon.Limit 0 && site_id <> primary then begin
     (* Consult the central copy, as quasi-copies applications do when the
        local copy is not close enough. *)
     t.n_primary_reads <- t.n_primary_reads + 1;
     t.next_qid <- t.next_qid + 1;
     let qid = t.next_qid in
-    Hashtbl.replace t.query_replies qid
-      {
-        q_origin = site_id;
-        q_notify = finish ~consistent:true;
-        q_fail = local_degraded;
-      };
+    Replica_site.Origin_table.add t.query_replies qid (q, keys);
     Squeue.send t.fabric ~src:site_id ~dst:primary
       (Do_query { qid; keys; origin = site_id })
   end
-  else begin
-    let site = t.durable.(site_id) in
+  else
     let query_et = t.env.Intf.next_et () in
-    let values =
-      List.map
-        (fun key ->
-          Replica_site.log_action site ~et:query_et ~key Op.Read;
-          (key, Store.get site.store key))
-        keys
-    in
-    finish ~consistent:(site_id = primary) values
-  end
+    Replica_site.answer q ~consistent:(site_id = primary)
+      (Replica_site.read site ~et:query_et keys)
 
 let flush t =
   (* Push everything outstanding so quasi-copies converge at quiescence. *)
@@ -330,25 +279,13 @@ let on_crash t ~site:site_id =
       (* Strict queries from this site waiting on the primary's reply: the
          wait context is volatile — answer degraded from the local image. *)
       let my_queries =
-        Hashtbl.fold
-          (fun qid pq acc ->
-            if pq.q_origin = site_id then (qid, pq) :: acc else acc)
-          t.query_replies []
-        |> List.sort (fun (a, _) (b, _) -> compare a b)
+        Replica_site.Origin_table.take t.query_replies ~origin:site_id
       in
-      List.iter (fun (qid, _) -> Hashtbl.remove t.query_replies qid) my_queries;
-      List.iter (fun (_, pq) -> pq.q_fail ()) my_queries;
+      List.iter (fun (q, keys) -> Replica_site.degraded q keys) my_queries;
       (* Updates submitted here still waiting on Update_done: the
          origin-side callback is volatile, so the client sees a rejection
          even though the primary may have (or will have) applied the ET. *)
-      let my_updates =
-        Hashtbl.fold
-          (fun et (origin, notify) acc ->
-            if origin = site_id then (et, notify) :: acc else acc)
-          t.outcomes []
-        |> List.sort (fun (a, _) (b, _) -> compare a b)
-      in
-      List.iter (fun (et, _) -> Hashtbl.remove t.outcomes et) my_updates;
+      let my_updates = Replica_site.Origin_table.take t.outcomes ~origin:site_id in
       List.iter
         (fun (_, notify) -> notify (Intf.Rejected "origin site crashed"))
         my_updates;
@@ -380,13 +317,12 @@ let on_recover t ~site =
 let checkpoint t ~site = Replica_site.checkpoint t.env t.durable.(site) t.fabric
 
 let backlog t =
-  Hashtbl.length t.outcomes + Hashtbl.length t.query_replies
+  Replica_site.Origin_table.length t.outcomes
+  + Replica_site.Origin_table.length t.query_replies
   + List.length t.dirty
 
 let quiescent t =
-  Hashtbl.length t.outcomes = 0
-  && Hashtbl.length t.query_replies = 0
-  && t.dirty = []
+  backlog t = 0
   &&
   match t.refresh with
   | `Drift _ ->

@@ -81,8 +81,8 @@ type t = {
   durable : Replica_site.t array;
   sites : site array;
   fabric : msg Squeue.t;
-  reads : (int, read_round) Hashtbl.t;
-  writes : (int, write_round) Hashtbl.t;
+  reads : read_round Replica_site.Origin_table.t;
+  writes : write_round Replica_site.Origin_table.t;
   read_quorum : int;
   write_quorum : int;
   mutable next_round : int;
@@ -117,7 +117,7 @@ let rec receive t ~site:site_id msg =
              value = Store.get site.d.store key;
            })
   | Version_reply { rid; key = _; version; value } -> (
-      match Hashtbl.find_opt t.reads rid with
+      match Replica_site.Origin_table.find t.reads rid with
       | None -> ()  (* straggler after the quorum completed *)
       | Some round ->
           round.r_replies <- round.r_replies + 1;
@@ -125,7 +125,7 @@ let rec receive t ~site:site_id msg =
           if version_compare version best_version > 0 then
             round.r_best <- (version, value);
           if round.r_replies >= round.r_needed then begin
-            Hashtbl.remove t.reads rid;
+            Replica_site.Origin_table.remove t.reads rid;
             round.r_done round.r_best
           end)
   | Write_req { wid; et; key; value; version } ->
@@ -145,12 +145,12 @@ let rec receive t ~site:site_id msg =
          participation, not freshness. *)
       post t ~src:site_id ~dst:version.writer (Write_ack { wid })
   | Write_ack { wid } -> (
-      match Hashtbl.find_opt t.writes wid with
+      match Replica_site.Origin_table.find t.writes wid with
       | None -> ()
       | Some round ->
           round.w_acks <- round.w_acks + 1;
           if round.w_acks >= round.w_needed then begin
-            Hashtbl.remove t.writes wid;
+            Replica_site.Origin_table.remove t.writes wid;
             round.w_done ()
           end)
 
@@ -174,7 +174,7 @@ let fan_key t key f =
 let read_round t ~origin ~et ~key ~needed ~update ~done_ ~fail =
   let rid = t.next_round in
   t.next_round <- rid + 1;
-  Hashtbl.replace t.reads rid
+  Replica_site.Origin_table.add t.reads rid
     {
       r_origin = origin;
       r_needed = needed;
@@ -190,7 +190,7 @@ let read_round t ~origin ~et ~key ~needed ~update ~done_ ~fail =
 let write_round t ~origin ~et ~key ~value ~version ~done_ ~fail =
   let wid = t.next_round in
   t.next_round <- wid + 1;
-  Hashtbl.replace t.writes wid
+  Replica_site.Origin_table.add t.writes wid
     {
       w_origin = origin;
       w_needed = t.write_quorum;
@@ -231,8 +231,8 @@ let create (env : Intf.env) =
         fabric =
           Replica_site.fabric env ~mode:Squeue.Unordered (fun ~site ~src:_ msg ->
               receive (Lazy.force t) ~site msg);
-        reads = Hashtbl.create 32;
-        writes = Hashtbl.create 32;
+        reads = Replica_site.Origin_table.create ~origin:(fun r -> r.r_origin);
+        writes = Replica_site.Origin_table.create ~origin:(fun w -> w.w_origin);
         read_quorum;
         write_quorum;
         next_round = 0;
@@ -284,36 +284,22 @@ let submit_update t ~origin intents notify =
       notify (Intf.Rejected "QUORUM: multi-key update ETs are not atomic here")
 
 let submit_query t ~site:site_id ~keys ~epsilon k =
-  ignore epsilon;
   t.n_queries <- t.n_queries + 1;
   let site = t.durable.(site_id) in
   let et = t.env.Intf.next_et () in
-  let started_at = Engine.now t.env.engine in
-  let degraded () =
-    (* Graceful failure: answer from the local image, flagged degraded
-       (the quorum guarantee needs a live coordinating site). *)
-    k
-      {
-        Intf.values = List.map (fun key -> (key, Store.get site.store key)) keys;
-        charged = 0;
-        forced = 0;
-        consistent_path = false;
-        started_at;
-        served_at = Engine.now t.env.engine;
-      }
-  in
-  if site.down then degraded ()
+  (* Quorum reads are always consistent; epsilon is never charged. *)
+  let q = Replica_site.query t.env site epsilon () k in
+  if site.down then
+    (* The quorum guarantee needs a live coordinating site. *)
+    Replica_site.degraded q keys
   else begin
     let total = List.length keys in
-    let collected = ref [] in
-    let finished = ref 0 in
-    let failed = ref false in
     let fail () =
       (* One fail per query, even though each key ran its own round. *)
-      if !failed then false
+      if q.killed then false
       else begin
-        failed := true;
-        degraded ();
+        q.killed <- true;
+        Replica_site.degraded q keys;
         true
       end
     in
@@ -322,19 +308,10 @@ let submit_query t ~site:site_id ~keys ~epsilon k =
         read_round t ~origin:site_id ~et ~key ~needed:t.read_quorum ~update:false
           ~fail
           ~done_:(fun (_, value) ->
-            collected := (key, value) :: !collected;
-            incr finished;
-            if !finished = total && not !failed then
-              k
-                {
-                  Intf.values =
-                    List.sort (fun (a, _) (b, _) -> String.compare a b) !collected;
-                  charged = 0;
-                  forced = 0;
-                  consistent_path = true;
-                  started_at;
-                  served_at = Engine.now t.env.engine;
-                }))
+            q.gathered <- (key, value) :: q.gathered;
+            if List.length q.gathered = total && not q.killed then
+              Replica_site.answer q ~consistent:true
+                (List.sort (fun (a, _) (b, _) -> String.compare a b) q.gathered)))
       keys
   end
 
@@ -346,29 +323,15 @@ let on_crash t ~site:site_id =
          degraded, updates report rejection (their writes may still land
          at a quorum — the classic uncertain outcome).  Straggler replies
          arriving after recovery find no round and are ignored. *)
-      let my_reads =
-        Hashtbl.fold
-          (fun rid r acc -> if r.r_origin = site_id then (rid, r) :: acc else acc)
-          t.reads []
-        |> List.sort (fun (a, _) (b, _) -> compare a b)
-      and my_writes =
-        Hashtbl.fold
-          (fun wid w acc -> if w.w_origin = site_id then (wid, w) :: acc else acc)
-          t.writes []
-        |> List.sort (fun (a, _) (b, _) -> compare a b)
-      in
+      let my_reads = Replica_site.Origin_table.take t.reads ~origin:site_id in
+      let my_writes = Replica_site.Origin_table.take t.writes ~origin:site_id in
       let queries_failed = ref 0 and updates_rejected = ref 0 in
       List.iter
-        (fun (rid, r) ->
-          Hashtbl.remove t.reads rid;
+        (fun r ->
           if r.r_fail () then
             if r.r_update then incr updates_rejected else incr queries_failed)
         my_reads;
-      List.iter
-        (fun (wid, w) ->
-          Hashtbl.remove t.writes wid;
-          if w.w_fail () then incr updates_rejected)
-        my_writes;
+      List.iter (fun w -> if w.w_fail () then incr updates_rejected) my_writes;
       {
         Replica_site.buffered = 0;
         queries_failed = !queries_failed;
@@ -378,8 +341,11 @@ let on_crash t ~site:site_id =
 let on_recover t ~site = ignore (Replica_site.recover t.env t.durable.(site))
 let checkpoint t ~site = Replica_site.checkpoint t.env t.durable.(site) t.fabric
 
-let quiescent t = Hashtbl.length t.reads = 0 && Hashtbl.length t.writes = 0
-let backlog t = Hashtbl.length t.reads + Hashtbl.length t.writes
+let backlog t =
+  Replica_site.Origin_table.length t.reads
+  + Replica_site.Origin_table.length t.writes
+
+let quiescent t = backlog t = 0
 
 let sites t = t.durable
 let mvstore _ ~site:_ = None

@@ -7,8 +7,11 @@
       queue journals, and the receipt journal of order-buffered MSets
       ({!Wal});
     - {e volatile}: the materialized store image (a page cache over the
-      log), order buffers, parked and active queries, and un-notified
-      origin-side outcome callbacks.
+      log), order buffers, parked and in-step query contexts
+      ({!Replica_site.Waits}), and the origin-side callbacks, coordinator
+      records and rounds of {!Replica_site.Origin_table}s.  Same-site
+      records landing while a site is down are durable
+      ({!Replica_site.Deferred}).
 
     A crash drops the volatile half; {!Replica_site.recover} rebuilds the
     store image by replaying the durable log (traced as

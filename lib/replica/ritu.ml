@@ -208,16 +208,7 @@ let submit_update t ~origin intents k =
         writes
     in
     let mset = { et; stamp; writes; origin } in
-    let trace = t.env.Intf.obs.Esr_obs.Obs.trace in
-    if Trace.on trace then
-      Trace.emit trace ~time:(Engine.now t.env.engine)
-        (Trace.Mset_enqueued
-           {
-             et;
-             origin;
-             n_ops = List.length writes;
-             keys = List.map (fun (_, key, _) -> key) writes;
-           });
+    Replica_site.trace_enqueued t.env ~et ~origin (fun (_, key, _) -> key) writes;
     apply_mset t site mset;
     let propagate () =
       (* Blind writes only matter to the replicas of their shards; commit
@@ -229,61 +220,41 @@ let submit_update t ~origin intents k =
     k (Intf.Committed { committed_at = Engine.now t.env.engine })
   end
 
+(* [`Multi]: reading a version above the VTNC is fresh but unstable and
+   costs one inconsistency unit; with the budget spent the query reads at
+   the VTNC instead. *)
+let read_multi t site eps ~et key =
+  Replica_site.log_action site.d ~et ~key Op.Read;
+  let vtnc = Mvstore.vtnc site.mv in
+  let value =
+    match Mvstore.read_latest site.mv key with
+    | Some latest when Gtime.compare latest.Mvstore.ts vtnc > 0 ->
+        if Epsilon.try_charge eps 1 then begin
+          t.n_fresh_reads <- t.n_fresh_reads + 1;
+          Some latest.Mvstore.value
+        end
+        else begin
+          t.n_vtnc_reads <- t.n_vtnc_reads + 1;
+          Option.map (fun v -> v.Mvstore.value) (Mvstore.read_visible site.mv key)
+        end
+    | Some latest -> Some latest.Mvstore.value
+    | None -> None
+  in
+  (key, Option.value value ~default:Value.zero)
+
 let submit_query t ~site:site_id ~keys ~epsilon k =
   t.n_queries <- t.n_queries + 1;
   let site = t.sites.(site_id) in
   let et = t.env.Intf.next_et () in
-  let eps = Epsilon.create epsilon in
-  let started_at = Engine.now t.env.engine in
-  let read_single key =
-    Replica_site.log_action site.d ~et ~key Op.Read;
-    (key, Store.get site.d.store key)
-  in
-  let read_multi key =
-    Replica_site.log_action site.d ~et ~key Op.Read;
-    let vtnc = Mvstore.vtnc site.mv in
-    let value =
-      match Mvstore.read_latest site.mv key with
-      | Some latest when Gtime.compare latest.Mvstore.ts vtnc > 0 ->
-          (* Fresh but unstable: reading it costs one inconsistency unit. *)
-          if Epsilon.try_charge eps 1 then begin
-            t.n_fresh_reads <- t.n_fresh_reads + 1;
-            Some latest.Mvstore.value
-          end
-          else begin
-            t.n_vtnc_reads <- t.n_vtnc_reads + 1;
-            Option.map (fun v -> v.Mvstore.value) (Mvstore.read_visible site.mv key)
-          end
-      | Some latest -> Some latest.Mvstore.value
-      | None -> None
+  let q = Replica_site.query t.env site.d epsilon () k in
+  if site.d.down then Replica_site.degraded q keys
+  else
+    let values =
+      match t.mode with
+      | `Single -> Replica_site.read site.d ~et keys
+      | `Multi -> List.map (read_multi t site q.eps ~et) keys
     in
-    (key, Option.value value ~default:Value.zero)
-  in
-  if site.d.down then
-    (* Graceful failure: a crashed site answers from its last image,
-       flagged degraded (nothing is logged — the site is not executing). *)
-    k
-      {
-        Intf.values = List.map (fun key -> (key, Store.get site.d.store key)) keys;
-        charged = 0;
-        forced = 0;
-        consistent_path = false;
-        started_at;
-        served_at = Engine.now t.env.engine;
-      }
-  else begin
-  let reader = match t.mode with `Single -> read_single | `Multi -> read_multi in
-  let values = List.map reader keys in
-  k
-    {
-      Intf.values;
-      charged = Epsilon.value eps;
-      forced = 0;
-      consistent_path = Epsilon.value eps = 0;
-      started_at;
-      served_at = Engine.now t.env.engine;
-    }
-  end
+    Replica_site.answer q ~consistent:(Epsilon.value q.eps = 0) values
 
 let flush t =
   match t.mode with

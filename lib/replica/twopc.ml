@@ -61,14 +61,6 @@ type coord_state = {
   c_notify : Intf.update_outcome -> unit;
 }
 
-(* A query waiting on local locks; its lock-queue continuation is
-   volatile, so a crash fails it degraded and cancels the request. *)
-type waiting_q = {
-  mutable wq_et : Et.id;  (* the current attempt's lock-space txn id *)
-  mutable wq_done : bool;
-  wq_fail : unit -> unit;
-}
-
 type site = {
   d : Replica_site.t;  (* the durable half: id, store, log, down flag *)
   locks : Lock_mgr.t;
@@ -83,7 +75,10 @@ type site = {
   refused : (Et.id, unit) Hashtbl.t;
       (* prepares this site voted no on whose decision has not arrived:
          that decision must not leave a tombstone *)
-  mutable waiting : waiting_q list;
+  waiting : unit Replica_site.Waits.t;
+      (* queries waiting on local locks; their lock-queue continuations
+         are volatile, so a crash fails them degraded and cancels the
+         requests *)
 }
 
 type t = {
@@ -92,11 +87,10 @@ type t = {
   durable : Replica_site.t array;
   sites : site array;
   fabric : msg Squeue.t;
-  coords : (Et.id, coord_state) Hashtbl.t;
-  mutable deferred_local : (int * msg) list;
+  coords : coord_state Replica_site.Origin_table.t;
+  deferred : msg Replica_site.Deferred.t;
       (* a site's own 2PC records landing while it is down (same-site
-         shortcut messages); replayed in order at recovery.  Newest
-         first. *)
+         shortcut messages) *)
   global_locks : Lock_mgr.t;
       (* the lock service at site 0: serializes update ETs globally, in
          sorted key order, so update/update distributed deadlocks cannot
@@ -150,7 +144,7 @@ let rec receive t ~site:site_id msg =
           (* Cannot happen with ordered acquisition, but stay safe. *)
           post t ~src:site_id ~dst:coordinator (Vote { et; yes = false }))
   | Lock_granted { et } -> (
-      match Hashtbl.find_opt t.coords et with
+      match Replica_site.Origin_table.find t.coords et with
       | None -> ()
       | Some coord ->
           if not coord.c_decided then begin
@@ -229,18 +223,18 @@ let rec receive t ~site:site_id msg =
   | Done { et } -> coordinator_done t et
 
 (* Same-site messages shortcut the network (a site talking to itself);
-   while the site is down they are stashed as durable records and
+   while the site is down they are deferred as durable records and
    replayed at recovery, mirroring what the stable queue does for remote
    traffic. *)
 and post t ~src ~dst msg =
   if src = dst then
     if t.durable.(dst).down then
-      t.deferred_local <- (dst, msg) :: t.deferred_local
+      Replica_site.Deferred.defer t.deferred ~site:dst msg
     else receive t ~site:dst msg
   else Squeue.send t.fabric ~src ~dst msg
 
 and coordinator_vote t et yes =
-  match Hashtbl.find_opt t.coords et with
+  match Replica_site.Origin_table.find t.coords et with
   | None -> ()
   | Some coord ->
       if coord.c_decided then ()
@@ -275,11 +269,11 @@ and send_decision t coord ~commit =
   Array.iter (msg ~prepared:coord.c_fanned) parts
 
 and coordinator_done t et =
-  match Hashtbl.find_opt t.coords et with
+  match Replica_site.Origin_table.find t.coords et with
   | None -> ()
   | Some coord ->
       coord.c_acks <- coord.c_acks - 1;
-      if coord.c_acks = 0 then Hashtbl.remove t.coords et
+      if coord.c_acks = 0 then Replica_site.Origin_table.remove t.coords et
 
 let create (env : Intf.env) =
   let durable = Replica_site.create env in
@@ -298,14 +292,14 @@ let create (env : Intf.env) =
                 prepared = Hashtbl.create 16;
                 aborted = Hashtbl.create 16;
                 refused = Hashtbl.create 16;
-                waiting = [];
+                waiting = Replica_site.Waits.create ();
               })
             durable;
         fabric =
           Replica_site.fabric env ~mode:Squeue.Unordered (fun ~site ~src:_ msg ->
               receive (Lazy.force t) ~site msg);
-        coords = Hashtbl.create 32;
-        deferred_local = [];
+        coords = Replica_site.Origin_table.create ~origin:(fun c -> c.c_site);
+        deferred = Replica_site.Deferred.create env;
         global_locks = Lock_mgr.create ~table:Lock_table.standard ();
         n_updates = 0;
         n_queries = 0;
@@ -315,28 +309,14 @@ let create (env : Intf.env) =
   in
   Lazy.force t
 
-let intent_to_op = function
-  | Intf.Set (k, v) -> (k, Op.Write v)
-  | Intf.Add (k, d) -> (k, Op.Incr d)
-  | Intf.Mul (k, f) -> (k, Op.Mult f)
-
 let submit_update t ~origin intents notify =
   if t.durable.(origin).down then notify (Intf.Rejected "origin site down")
   else if intents = [] then notify (Intf.Rejected "empty update ET")
   else begin
     t.n_updates <- t.n_updates + 1;
     let et = t.env.Intf.next_et () in
-    let ops = List.map intent_to_op intents in
-    let trace = t.env.Intf.obs.Esr_obs.Obs.trace in
-    if Trace.on trace then
-      Trace.emit trace ~time:(Engine.now t.env.engine)
-        (Trace.Mset_enqueued
-           {
-             et;
-             origin;
-             n_ops = List.length ops;
-             keys = List.map fst ops;
-           });
+    let ops = List.map Intf.op_of_intent intents in
+    Replica_site.trace_enqueued t.env ~et ~origin fst ops;
     (* Participants: the union of the touched shards' replica sets (keys
        interned here so every later lookup agrees on the shard). *)
     let c = t.dests in
@@ -368,7 +348,7 @@ let submit_update t ~origin intents notify =
         c_notify = notify;
       }
     in
-    Hashtbl.replace t.coords et coord;
+    Replica_site.Origin_table.add t.coords et coord;
     (* Phase 0: serialize against other update ETs at the lock service;
        the prepares fan out once the global locks are granted. *)
     post t ~src:origin ~dst:0 (Lock_req { et; keys = List.map fst ops; coordinator = origin });
@@ -386,74 +366,43 @@ let submit_update t ~origin intents notify =
   end
 
 let submit_query t ~site:site_id ~keys ~epsilon k =
-  ignore epsilon;
   t.n_queries <- t.n_queries + 1;
   let site = t.sites.(site_id) in
-  let started_at = Engine.now t.env.engine in
-  let degraded () =
-    (* Graceful failure: a crashed site answers from its last image,
-       flagged degraded (2PC's normal path is always consistent). *)
-    k
-      {
-        Intf.values = List.map (fun key -> (key, Store.get site.d.store key)) keys;
-        charged = 0;
-        forced = 0;
-        consistent_path = false;
-        started_at;
-        served_at = Engine.now t.env.engine;
-      }
-  in
-  if site.d.down then degraded ()
+  (* 2PC's normal path is always consistent; epsilon is never charged. *)
+  let q = Replica_site.query t.env site.d epsilon () k in
+  if site.d.down then Replica_site.degraded q keys
   else begin
-    let rec attempt wq =
-      if wq.wq_done then ()
-      else begin
+    let txn = ref 0 in  (* the current attempt's lock-space txn id *)
+    let waiting =
+      Replica_site.Waits.park site.waiting ~resume:ignore
+        ~fail:(fun () ->
+          (* Cancel the (possibly queued) lock request so the dead query
+             never blocks writers, then answer degraded. *)
+          q.killed <- true;
+          Lock_mgr.release_all site.locks ~txn:!txn;
+          Replica_site.degraded q keys)
+        ()
+    in
+    let rec attempt () =
+      if not q.killed then begin
         let et = t.env.Intf.next_et () in
-        wq.wq_et <- et;
+        txn := et;
         let requests = List.map (fun key -> (key, Lock_table.R, None)) keys in
         acquire_all t site.locks ~txn:et requests
           ~ok:(fun () ->
-            if wq.wq_done then Lock_mgr.release_all site.locks ~txn:et
+            if q.killed then Lock_mgr.release_all site.locks ~txn:et
             else begin
-              wq.wq_done <- true;
-              site.waiting <- List.filter (fun w -> w != wq) site.waiting;
-              let values =
-                List.map
-                  (fun key ->
-                    Replica_site.log_action site.d ~et ~key Op.Read;
-                    (key, Store.get site.d.store key))
-                  keys
-              in
+              Replica_site.Waits.unpark site.waiting waiting;
+              let values = Replica_site.read site.d ~et keys in
               Lock_mgr.release_all site.locks ~txn:et;
-              k
-                {
-                  Intf.values;
-                  charged = 0;
-                  forced = 0;
-                  consistent_path = true;
-                  started_at;
-                  served_at = Engine.now t.env.engine;
-                }
+              Replica_site.answer q ~consistent:true values
             end)
           ~fail:(fun () ->
             (* Deadlocked against prepared writers: retry after a beat. *)
-            ignore (Engine.schedule t.env.engine ~delay:5.0 (fun () -> attempt wq)))
+            ignore (Engine.schedule t.env.engine ~delay:5.0 attempt))
       end
     in
-    let rec wq =
-      {
-        wq_et = 0;  (* set by [attempt] before the first acquisition *)
-        wq_done = false;
-        wq_fail =
-          (fun () ->
-            (* Cancel the (possibly queued) lock request so the dead
-               query never blocks writers, then answer degraded. *)
-            Lock_mgr.release_all site.locks ~txn:wq.wq_et;
-            degraded ());
-      }
-    in
-    site.waiting <- wq :: site.waiting;
-    attempt wq
+    attempt ()
   end
 
 let flush _ = ()
@@ -465,30 +414,18 @@ let on_crash t ~site:site_id =
          their W-locks held — the classic 2PC blocking window); what dies
          is the volatile wait contexts: queries queued on locks fail
          degraded and their requests are cancelled. *)
-      let waiting = site.waiting in
-      site.waiting <- [];
-      List.iter
-        (fun wq ->
-          if not wq.wq_done then begin
-            wq.wq_done <- true;
-            wq.wq_fail ()
-          end)
-        waiting;
+      let queries_failed = Replica_site.Waits.drop site.waiting in
       (* The crashed site was the coordinator of its undecided update ETs:
          presumed abort.  Remote participants learn the abort once the
          stable queue reaches them; the local record is replayed at
-         recovery. *)
+         recovery.  Decided records stay until their acks are in. *)
       let orphaned =
-        Hashtbl.fold
-          (fun et coord acc ->
-            if coord.c_site = site_id && not coord.c_decided then
-              (et, coord) :: acc
-            else acc)
-          t.coords []
-        |> List.sort (fun (a, _) (b, _) -> compare a b)
+        List.filter
+          (fun coord -> not coord.c_decided)
+          (Replica_site.Origin_table.at_origin t.coords ~origin:site_id)
       in
       List.iter
-        (fun (_, coord) ->
+        (fun coord ->
           coord.c_decided <- true;
           t.n_aborted <- t.n_aborted + 1;
           coord.c_notify (Intf.Rejected "2PC: aborted (origin site crashed)");
@@ -496,19 +433,14 @@ let on_crash t ~site:site_id =
         orphaned;
       {
         Replica_site.buffered = 0;
-        queries_failed = List.length waiting;
+        queries_failed;
         updates_rejected = List.length orphaned;
       })
 
 let on_recover t ~site:site_id =
-  if Replica_site.recover t.env t.durable.(site_id) then begin
-    (* Replay the site's own 2PC records that landed while it was down. *)
-    let mine, others =
-      List.partition (fun (s, _) -> s = site_id) (List.rev t.deferred_local)
-    in
-    t.deferred_local <- List.rev others;
-    List.iter (fun (_, msg) -> receive t ~site:site_id msg) mine
-  end
+  (* Replay the site's own 2PC records that landed while it was down. *)
+  if Replica_site.recover t.env t.durable.(site_id) then
+    Replica_site.Deferred.replay t.deferred ~site:site_id (receive t ~site:site_id)
 
 let checkpoint t ~site = Replica_site.checkpoint t.env t.durable.(site) t.fabric
 
@@ -523,8 +455,10 @@ let locked_keys t =
     (Lock_mgr.active_keys t.global_locks)
     t.sites
 
-let quiescent t = Hashtbl.length t.coords = 0 && t.deferred_local = []
-let backlog t = Hashtbl.length t.coords + List.length t.deferred_local
+let backlog t =
+  Replica_site.Origin_table.length t.coords + Replica_site.Deferred.size t.deferred
+
+let quiescent t = backlog t = 0
 
 let sites t = t.durable
 let mvstore _ ~site:_ = None

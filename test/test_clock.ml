@@ -3,7 +3,6 @@
 
 module Lamport = Esr_clock.Lamport
 module Gtime = Esr_clock.Gtime
-module Sequencer = Esr_clock.Sequencer
 
 let checki = Alcotest.check Alcotest.int
 let checkb = Alcotest.check Alcotest.bool
@@ -72,16 +71,6 @@ let prop_gtime_order_is_total =
       in
       antisym && trans)
 
-(* --- Sequencer --- *)
-
-let test_sequencer_dense () =
-  let s = Sequencer.create () in
-  checki "issued 0" 0 (Sequencer.issued s);
-  checki "1" 1 (Sequencer.next s);
-  checki "2" 2 (Sequencer.next s);
-  checki "3" 3 (Sequencer.next s);
-  checki "issued 3" 3 (Sequencer.issued s)
-
 let qcheck_tests =
   List.map QCheck_alcotest.to_alcotest
     [ prop_gtime_order_is_total ]
@@ -102,6 +91,5 @@ let () =
           Alcotest.test_case "witness pushes clock" `Quick
             test_gtime_witness_pushes_clock;
         ] );
-      ("sequencer", [ Alcotest.test_case "dense tickets" `Quick test_sequencer_dense ]);
       ("properties", qcheck_tests);
     ]

@@ -894,11 +894,21 @@ let test_sharding_fanout_scales_with_factor () =
    values hold under randomized hashing ([OCAMLRUNPARAM=R]) as well as
    the default seed: the stable queues retransmit in sequence order, so
    nothing a run does depends on hash-table layout.  Any change to what
-   a method computes, logs, journals or sends moves them. *)
+   a method computes, logs, journals or sends moves them.
+
+   The [strict] variant pins the wait and crash paths the [Limit 1]
+   workload never reaches: two 3-key queries per step whose epsilon
+   cycles through [Limit 0], [Limit 1] and [Unlimited], and three crash
+   windows at site 2 placed so that, across them and both placements,
+   the crashes catch COMMU and COMPE strict queries parked on their lock
+   counters, ORDUP SR fallbacks parked on the global order, stepped
+   multi-key reads in flight (ORDUP, COMMU, COMPE), QUASI strict reads
+   waiting on the primary, QUORUM read and write rounds, and 2PC queries
+   queued on locks behind prepared writers. *)
 module Checkpoint = Esr_replica.Checkpoint
 module Schedule = Esr_fault.Schedule
 
-let run_digest ~ring name =
+let run_digest ?(strict = false) ~ring name =
   let sites = 5 in
   let sharding =
     if ring then
@@ -914,7 +924,13 @@ let run_digest ~ring name =
   in
   Harness.arm_checkpoints h ~until:1_000.0;
   let schedule =
-    match Schedule.of_spec "crash@403:2;recover@911:2" with
+    match
+      Schedule.of_spec
+        (if strict then
+           "crash@277:2;recover@359:2;crash@371:2;recover@503:2;\
+            crash@533:2;recover@911:2"
+         else "crash@403:2;recover@911:2")
+    with
     | Ok s -> s
     | Error e -> failwith e
   in
@@ -938,16 +954,29 @@ let run_digest ~ring name =
              Harness.submit_update h ~origin:(i mod sites) intents (function
                | Intf.Committed { committed_at } -> add "u%d c %h\n" i committed_at
                | Intf.Rejected r -> add "u%d r %s\n" i r);
-             if i mod 3 = 0 then
-               Harness.submit_query h ~site:((i / 3) mod sites)
-                 ~keys:[ k i; k (i + 5) ] ~epsilon:(Epsilon.Limit 1)
-                 (fun o ->
+             let query ~site ~keys ~epsilon =
+               Harness.submit_query h ~site ~keys ~epsilon (fun o ->
                    add "q%d %d %d %b %h %h" i o.Intf.charged o.Intf.forced
                      o.Intf.consistent_path o.Intf.started_at o.Intf.served_at;
                    List.iter
                      (fun (key, v) -> add " %s=%s" key (Value.to_string v))
                      o.Intf.values;
-                   add "\n")))
+                   add "\n")
+             in
+             if strict then begin
+               let epsilon =
+                 match (i / sites) mod 3 with
+                 | 0 -> Epsilon.Limit 0
+                 | 1 -> Epsilon.Limit 1
+                 | _ -> Epsilon.Unlimited
+               in
+               let keys = [ k i; k (i + 5); k (3 * i) ] in
+               query ~site:(i mod sites) ~keys ~epsilon;
+               query ~site:(((2 * i) + 1) mod sites) ~keys ~epsilon
+             end
+             else if i mod 3 = 0 then
+               query ~site:((i / 3) mod sites) ~keys:[ k i; k (i + 5) ]
+                 ~epsilon:(Epsilon.Limit 1)))
     done
   in
   (match Harness.run_with_faults h ~schedule ~workload with
@@ -985,12 +1014,32 @@ let pinned_digests =
      ("b47b882f2f428070f168c50cb61b408f", "9b820a81ae199d46b86a6ddb3437d3eb"));
   ]
 
-let test_pinned_digest name () =
-  let full, ring = List.assoc name pinned_digests in
+let pinned_strict_digests =
+  [
+    ("ORDUP",
+     ("34fcb6e81fd032a356943f363148bad1", "a57620fcd6435985e76691e8765df732"));
+    ("COMMU",
+     ("0f80c44635d5654ee605cd6c8985fbeb", "b0f6e10fa7ec984b0eb9116146c7fb60"));
+    ("RITU",
+     ("5ede2ae5814ffd796ee2589cf58e504c", "3a3395c9064364cda5f45b33d6303171"));
+    ("COMPE",
+     ("ac7702b658d19aa8846bf4c1eb1aac8b", "76b87125b562daae678f6f4af46be0a4"));
+    ("2PC",
+     ("dd37950867d71cb49d7b7bb2c37ecca0", "e07c9c08b56d65b7baca61d5a036dd09"));
+    ("QUORUM",
+     ("9e29d2657562870ab83a452b5121d9fe", "523770820dde5bf9d0cff07fd8b22e3b"));
+    ("QUASI",
+     ("de5672aaa62e1a78c89e8b819bc2bd0a", "50cf4f3eaa4982ad87f37071806e8fe7"));
+  ]
+
+let test_pinned_digest ?(strict = false) name () =
+  let full, ring =
+    List.assoc name (if strict then pinned_strict_digests else pinned_digests)
+  in
   Alcotest.(check string) (name ^ " full placement") full
-    (run_digest ~ring:false name);
+    (run_digest ~strict ~ring:false name);
   Alcotest.(check string) (name ^ " ring factor 2") ring
-    (run_digest ~ring:true name)
+    (run_digest ~strict ~ring:true name)
 
 let () =
   Alcotest.run "esr_replica"
@@ -1103,5 +1152,11 @@ let () =
           (fun name ->
             Alcotest.test_case (name ^ " pinned digest") `Quick
               (test_pinned_digest name))
-          all_methods );
+          all_methods
+        @ List.map
+            (fun name ->
+              Alcotest.test_case (name ^ " pinned digest, strict queries")
+                `Quick
+                (test_pinned_digest ~strict:true name))
+            all_methods );
     ]
